@@ -5,11 +5,16 @@ config, the fitted scaler (decimal text, 17 significant digits), the full
 loss history, the RNG state, both Adam states, and every named parameter
 block as base64-encoded little-endian float64 bytes. Serialization is
 byte-deterministic for identical runs (sorted keys, fixed separators).
+
+Version 2 stores the generator's LSTM as the single stacked block
+`gen.lstm.W` (see nn.LstmCell); version 1 files, with eight per-gate
+blocks, are rejected.
 """
 
 from __future__ import annotations
 
 import base64
+import dataclasses
 import json
 
 import numpy as np
@@ -20,7 +25,8 @@ from .optim import AdamState
 from .scaling import ScalerParams
 
 FORMAT = "tsgan-checkpoint"
-VERSION = 1
+VERSION = 2
+CONFIG_KEYS = frozenset(f.name for f in dataclasses.fields(TrainConfig))
 
 
 def _encode_array(a: np.ndarray) -> dict:
@@ -81,20 +87,7 @@ def save(path, model: TrainedModel) -> None:
     doc = {
         "format": FORMAT,
         "version": VERSION,
-        "config": {
-            "noise_dim": model.config.noise_dim,
-            "condition_dim": model.config.condition_dim,
-            "batch_size": model.config.batch_size,
-            "epochs": model.config.epochs,
-            "lr": model.config.lr,
-            "beta1": model.config.beta1,
-            "beta2": model.config.beta2,
-            "seed": model.config.seed,
-            "hidden_size": model.config.hidden_size,
-            "disc_layers": list(model.config.disc_layers),
-            "clip_norm": model.config.clip_norm,
-            "init_scheme": model.config.init_scheme,
-        },
+        "config": dataclasses.asdict(model.config),
         "scaler": {"mean": repr(model.scaler.mean),
                    "stddev": repr(model.scaler.stddev),
                    "n_fitted": model.scaler.n_fitted},
@@ -114,33 +107,77 @@ def save(path, model: TrainedModel) -> None:
         fh.write("\n")
 
 
-def load(path) -> TrainedModel:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != FORMAT:
-        raise DataError(f"{path} is not a {FORMAT} file")
-    if doc.get("version") != VERSION:
-        raise DataError(f"unsupported checkpoint version {doc.get('version')}")
+def _check_blocks(what: str, blocks: dict, shapes: dict) -> None:
+    """Block names and shapes must be exactly those the config builds."""
+    if set(blocks) != set(shapes):
+        raise DataError(f"{what}: blocks {sorted(blocks)} do not match the "
+                        f"config's {sorted(shapes)}")
+    for name, shape in shapes.items():
+        if blocks[name].shape != shape:
+            raise DataError(f"{what}: block {name!r} has shape "
+                            f"{blocks[name].shape}, the config needs {shape}")
 
+
+def _model_from(doc: dict) -> TrainedModel:
     cfg = doc["config"]
+    if set(cfg) != CONFIG_KEYS:
+        raise DataError(f"config keys {sorted(cfg)} do not match "
+                        f"{sorted(CONFIG_KEYS)}")
     config = TrainConfig(**{**cfg, "disc_layers": tuple(cfg["disc_layers"])})
     scaler = ScalerParams(mean=float(doc["scaler"]["mean"]),
                           stddev=float(doc["scaler"]["stddev"]),
                           n_fitted=int(doc["scaler"]["n_fitted"]))
-    params = _decode_blocks(doc["params"])
 
     rng = np.random.default_rng(0)  # placeholder; weights are overwritten
     gen = Generator(config, rng)
     disc = Discriminator(config, rng)
+    gen_shapes = {name: p.shape for name, p in gen.params().items()}
+    disc_shapes = {name: p.shape for name, p in disc.params().items()}
+    params = _decode_blocks(doc["params"])
+    _check_blocks("params", params, {**gen_shapes, **disc_shapes})
     for name, target in {**gen.params(), **disc.params()}.items():
         target[...] = params[name]
+    adam_g = _decode_adam(doc["adam_g"])
+    adam_d = _decode_adam(doc["adam_d"])
+    for what, state, shapes in (("adam_g", adam_g, gen_shapes),
+                                ("adam_d", adam_d, disc_shapes)):
+        _check_blocks(f"{what}.m", state.m, shapes)
+        _check_blocks(f"{what}.v", state.v, shapes)
 
     hist = doc["loss_history"]
     history = LossHistory(d_epoch=hist["d_epoch"], g_epoch=hist["g_epoch"],
                           d_batch=hist["d_batch"], g_batch=hist["g_batch"])
     return TrainedModel(generator=gen, discriminator=disc,
-                        adam_g=_decode_adam(doc["adam_g"]),
-                        adam_d=_decode_adam(doc["adam_d"]),
+                        adam_g=adam_g, adam_d=adam_d,
                         scaler=scaler, config=config, epoch=doc["epoch"],
                         history=history,
                         rng_state=_unsanitize(doc["rng_state"]))
+
+
+def load(path) -> TrainedModel:
+    """Read a checkpoint written by `save`.
+
+    Raises DataError for anything else: a file that is not JSON, another
+    format or version, a missing or malformed entry, or a parameter or
+    Adam moment block whose name or shape disagrees with the networks its
+    config builds.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise DataError(f"{path} is not a JSON file: {exc}") from None
+    if not isinstance(doc, dict) or doc.get("format") != FORMAT:
+        raise DataError(f"{path} is not a {FORMAT} file")
+    if doc.get("version") != VERSION:
+        raise DataError(f"{path}: unsupported checkpoint version "
+                        f"{doc.get('version')!r} (this build reads "
+                        f"version {VERSION})")
+    try:
+        return _model_from(doc)
+    except KeyError as exc:
+        raise DataError(f"{path}: checkpoint lacks {exc}") from None
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise DataError(f"{path}: malformed checkpoint: {exc}") from None
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None

@@ -19,9 +19,10 @@ import numpy as np
 from . import scaling
 from .data import PairSet
 from .errors import DataError, NumericError
-from .nn import (DenseLayer, LstmCell, LstmState, clip_global_norm,
-                 dense_backward, dense_forward, lstm_backward, lstm_forward)
-from .optim import AdamState, adam_step, bce_with_logits, sigmoid
+from .nn import (DenseLayer, LstmCell, LstmState, LstmWorkspace,
+                 clip_global_norm, dense_backward, dense_forward,
+                 lstm_backward, lstm_cache_rows, lstm_forward, sigmoid)
+from .optim import AdamState, adam_step, bce_with_logits
 
 LN2 = float(np.log(2.0))
 
@@ -58,7 +59,13 @@ class LossHistory:
 
 
 class Generator:
-    """LSTM over the condition window plus repeated noise; scalar head."""
+    """LSTM over the condition window plus repeated noise; scalar head.
+
+    The generator owns the LSTM's workspace, so passes of one batch shape
+    reuse the same trajectory buffers: a cache from `forward` is valid
+    only until the next `forward` on this generator, and `backward` on an
+    older one raises nn.StaleCacheError. Returned values are fresh arrays.
+    """
 
     def __init__(self, config: TrainConfig, rng: np.random.Generator):
         self.noise_dim = config.noise_dim
@@ -66,12 +73,12 @@ class Generator:
                                     rng, config.init_scheme)
         self.head = DenseLayer.create(config.hidden_size, 1, "identity",
                                       rng, config.init_scheme)
+        self.workspace = LstmWorkspace()
 
     def params(self) -> dict[str, np.ndarray]:
-        out = {f"gen.lstm.{k}": m for k, m in self.lstm.matrices().items()}
-        out["gen.head.weights"] = self.head.weights
-        out["gen.head.bias"] = self.head.bias
-        return out
+        return {"gen.lstm.W": self.lstm.W,
+                "gen.head.weights": self.head.weights,
+                "gen.head.bias": self.head.bias}
 
     def forward(self, conditions: np.ndarray, z: np.ndarray, keep_cache=True):
         """Generate one scalar per row of `conditions` using noise rows `z`.
@@ -83,23 +90,38 @@ class Generator:
         xs = np.empty((d, k, 1 + self.noise_dim))
         xs[:, :, 0] = conditions.T
         xs[:, :, 1:] = z
-        state, caches = lstm_forward(
-            self.lstm, xs, LstmState.zeros(self.lstm.hidden_size, k))
+        state, lstm_cache = lstm_forward(
+            self.lstm, xs, LstmState.zeros(self.lstm.hidden_size, k),
+            self.workspace)
         out, head_cache = dense_forward(self.head, state.z)
         xhat = out[:, 0]
         if not np.all(np.isfinite(xhat)):
             raise NumericError("generator produced non-finite output")
-        return xhat, ((caches, head_cache) if keep_cache else None)
+        return xhat, ((lstm_cache, head_cache) if keep_cache else None)
+
+    def forward_pair(self, conditions: np.ndarray, z2: np.ndarray):
+        """One double-width pass for a D step and a G step on one batch.
+
+        Runs the k `conditions` twice, with the 2k noise rows `z2`.
+        Returns (the D step's fake batch from rows :k, the G step's fake
+        batch from rows k:, a cache whose backward covers rows k: only).
+        """
+        k = conditions.shape[0]
+        fake, (lstm_cache, head_cache) = self.forward(
+            np.concatenate([conditions, conditions]), z2)
+        xb, pre, post, squeeze = head_cache
+        cache = (lstm_cache_rows(lstm_cache, k),
+                 (xb[k:], pre[k:], post[k:], squeeze))
+        return fake[:k], fake[k:], cache
 
     def backward(self, cache, dxhat: np.ndarray) -> dict[str, np.ndarray]:
-        caches, head_cache = cache
+        lstm_cache, head_cache = cache
         dfinal, head_grads = dense_backward(self.head, head_cache,
                                             dxhat[:, None])
-        lstm_grads, _ = lstm_backward(self.lstm, caches, dfinal)
-        out = {f"gen.lstm.{k}": g for k, g in lstm_grads.mats.items()}
-        out["gen.head.weights"] = head_grads.weights
-        out["gen.head.bias"] = head_grads.bias
-        return out
+        dW, _ = lstm_backward(self.lstm, lstm_cache, dfinal)
+        return {"gen.lstm.W": dW,
+                "gen.head.weights": head_grads.weights,
+                "gen.head.bias": head_grads.bias}
 
 
 class Discriminator:
@@ -141,15 +163,6 @@ class Discriminator:
             grads[f"disc.{i}.weights"] = layer_grads.weights
             grads[f"disc.{i}.bias"] = layer_grads.bias
         return g, grads
-
-
-def _slice_cache(cache, start):
-    """Restrict a generator forward cache to batch rows start: onward."""
-    lstm_cache, head_cache = cache
-    sliced = {key: (val if key == "squeeze" else val[:, start:])
-              for key, val in lstm_cache.items()}
-    xb, pre, post, squeeze = head_cache
-    return sliced, (xb[start:], pre[start:], post[start:], squeeze)
 
 
 def _clip(grads: dict[str, np.ndarray], clip_norm: float) -> None:
@@ -265,14 +278,13 @@ def train(config: TrainConfig, pairs: PairSet, scaler: scaling.ScalerParams,
                 # exactly like one (2k, l) draw, so this matches running
                 # the steps independently.
                 z2 = rng.standard_normal((2 * k, gen.noise_dim))
-                fake_all, cache = gen.forward(np.concatenate([cond, cond]),
-                                              z2)
+                fake_d, fake_g, gen_cache = gen.forward_pair(cond, z2)
                 d_losses[b] = train_discriminator_step(
                     disc, gen, cond, target, adam_d, rng, config.clip_norm,
-                    fake=fake_all[:k])
+                    fake=fake_d)
                 g_losses[b] = train_generator_step(
                     gen, disc, cond, adam_g, rng, config.clip_norm,
-                    fake=fake_all[k:], gen_cache=_slice_cache(cache, k))
+                    fake=fake_g, gen_cache=gen_cache)
             except NumericError as exc:
                 raise NumericError(f"{exc} (epoch {epoch}, batch {b})") from None
         history.d_batch.extend(d_losses.tolist())

@@ -1,17 +1,20 @@
 """Dense layer and LSTM cell with hand-derived forward/backward passes.
 
 No autodiff: every backward pass is the explicit chain rule, checked
-against central finite differences in the test suite. All operations
-accept either a single vector or a (batch, n) matrix; gradients are summed
-over the batch dimension.
+against central finite differences in the test suite. Dense layers accept
+a single vector or a (batch, n) matrix; the LSTM takes (T, k, in) batches.
+Gradients are summed over the batch dimension.
 
-The LSTM cell carries no bias terms: each gate is a sigmoid (or tanh for
-the candidate) of W_x @ x_t + W_z @ z_prev only.
+The LSTM cell carries no bias terms and keeps its four gates in one
+stacked weight matrix W (4h, h + in), so a step is the single matmul
+W @ [z_prev; x_t] into a gate-major (4h, k) block. Trajectories live in an
+LstmWorkspace that is reused across calls of one shape; a forward cache
+is valid until the next forward on the same workspace.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,19 +22,26 @@ from .errors import NumericError
 
 ACTIVATIONS = ("relu", "sigmoid", "tanh", "identity")
 
-# names of the eight LSTM weight matrices, input-to-gate then state-to-gate
-LSTM_WEIGHTS = ("W_xf", "W_zf", "W_xi", "W_zi", "W_xo", "W_zo", "W_xc", "W_zc")
+# exp(709) is the largest power of e below the float64 maximum
+_SIGMOID_FLOOR = -709.0
 
 
-def sigmoid(x):
-    """Logistic function, stable on both tails.
+def sigmoid(x, out=None):
+    """Logistic function 1 / (1 + exp(-x)), the one used everywhere.
 
-    Evaluates exp(-|x|) only (always <= 1, never overflows) and selects
-    1/(1+e^-x) for x >= 0 or e^x/(1+e^x) for x < 0.
+    Exactly 0.5 at 0. Inputs are clamped below at -709, where exp(-x) is
+    still finite, so nothing overflows or warns; an input below -709 gives
+    sigmoid(-709) ~ 1.2e-308 instead of a subnormal. With `out` (which may
+    be `x`) the result is written there. A 0-d input returns a float.
     """
     x = np.asarray(x, dtype=np.float64)
-    ex = np.exp(-np.abs(x))
-    out = np.where(x >= 0, 1.0 / (1.0 + ex), ex / (1.0 + ex))
+    if out is None:
+        out = np.empty_like(x)
+    np.maximum(x, _SIGMOID_FLOOR, out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    out += 1.0
+    np.reciprocal(out, out=out)
     return out if out.ndim else float(out)
 
 
@@ -124,206 +134,217 @@ def dense_backward(layer: DenseLayer, cache, upstream):
 
 @dataclass
 class LstmCell:
-    W_xf: np.ndarray
-    W_zf: np.ndarray
-    W_xi: np.ndarray
-    W_zi: np.ndarray
-    W_xo: np.ndarray
-    W_zo: np.ndarray
-    W_xc: np.ndarray
-    W_zc: np.ndarray
+    """Bias-free LSTM cell on one stacked weight matrix.
+
+    `W` is (4h, h + in): row blocks are the gates f, i, o, c in that order,
+    columns :h act on the previous short-term state and columns h: on the
+    step input, so one step's four pre-activations are W @ [z_prev; x_t].
+    """
+
+    W: np.ndarray
 
     @property
     def hidden_size(self) -> int:
-        return self.W_xf.shape[0]
+        return self.W.shape[0] // 4
 
     @property
     def input_size(self) -> int:
-        return self.W_xf.shape[1]
+        return self.W.shape[1] - self.hidden_size
 
     @classmethod
     def create(cls, input_size: int, hidden_size: int, rng: np.random.Generator,
                scheme: str = "uniform-xavier"):
-        mats = {}
-        for name in LSTM_WEIGHTS:
-            in_dim = input_size if name[2] == "x" else hidden_size
-            mats[name] = init_params((hidden_size, in_dim), scheme, rng)
-        return cls(**mats)
-
-    def matrices(self) -> dict[str, np.ndarray]:
-        return {name: getattr(self, name) for name in LSTM_WEIGHTS}
+        """Per gate f, i, o, c: the (h, in) input block, then the (h, h)
+        state block, each with its own fan-based Xavier bound."""
+        h = hidden_size
+        W = np.empty((4 * h, h + input_size))
+        for gate in range(4):
+            rows = W[gate * h:(gate + 1) * h]
+            rows[:, h:] = init_params((h, input_size), scheme, rng)
+            rows[:, :h] = init_params((h, h), scheme, rng)
+        return cls(W)
 
 
 @dataclass
 class LstmState:
-    c: np.ndarray  # cell state
-    z: np.ndarray  # short-term memory / exposed state
+    c: np.ndarray  # cell state, (k, h)
+    z: np.ndarray  # short-term memory / exposed state, (k, h)
 
     @classmethod
-    def zeros(cls, hidden_size: int, batch: int | None = None):
-        shape = (hidden_size,) if batch is None else (batch, hidden_size)
-        return cls(c=np.zeros(shape), z=np.zeros(shape))
+    def zeros(cls, hidden_size: int, batch: int = 1):
+        return cls(c=np.zeros((batch, hidden_size)),
+                   z=np.zeros((batch, hidden_size)))
 
 
-@dataclass
-class LstmGrads:
-    mats: dict[str, np.ndarray] = field(default_factory=dict)
-
-    @classmethod
-    def zeros_like(cls, cell: LstmCell):
-        return cls({name: np.zeros_like(m) for name, m in cell.matrices().items()})
+class StaleCacheError(RuntimeError):
+    """A forward cache was used after a later forward reused its buffers."""
 
 
-def lstm_step(cell: LstmCell, x_t, prev: LstmState):
-    """One LSTM update:
+class LstmWorkspace:
+    """Trajectory buffers for lstm_forward and lstm_backward.
 
-        f = sigmoid(W_xf x + W_zf z_prev)       (forget gate)
-        i = sigmoid(W_xi x + W_zi z_prev)       (input gate)
-        o = sigmoid(W_xo x + W_zo z_prev)       (output gate)
-        c = c_prev * f + i * tanh(W_xc x + W_zc z_prev)
+    Buffers are kept between calls and reallocated only when the shape
+    changes, so a steady training loop touches no fresh memory. Every
+    forward bumps `generation`; a cache is valid only while it matches.
+    Layout is time-major and gate-major with the batch along the last
+    axis, so each step reads and writes contiguous (rows, k) blocks:
+
+        S  (T+1, h+in, k)  S[t] = [z_{t-1}; x_t], S[T, :h] = final z
+        P  (T, 4h, k)      gate activations f, i, o (sigmoid), c (tanh)
+        C  (T+1, h, k)     C[t] = c_{t-1}, C[T] = final c
+        TC (T, h, k)       tanh(c_t)
+    """
+
+    def __init__(self):
+        self.generation = 0
+        self._forward_shape = None
+        self._backward_shape = None
+
+    def forward_buffers(self, steps: int, k: int, hidden: int, n_in: int):
+        shape = (steps, k, hidden, n_in)
+        if shape != self._forward_shape:
+            self._forward_shape = shape
+            self.S = np.empty((steps + 1, hidden + n_in, k))
+            self.P = np.empty((steps, 4 * hidden, k))
+            self.C = np.empty((steps + 1, hidden, k))
+            self.TC = np.empty((steps, hidden, k))
+            self._ig = np.empty((hidden, k))
+        self.generation += 1
+        return self.S, self.P, self.C, self.TC, self._ig
+
+    def backward_buffers(self, steps: int, k: int, hidden: int, n_in: int):
+        shape = (steps, k, hidden, n_in)
+        if shape != self._backward_shape:
+            self._backward_shape = shape
+            self.dS = np.empty((steps, hidden + n_in, k))
+            self._step = np.empty((6, hidden, k))
+            self._a = np.empty((4 * hidden, k))
+            self._dct = np.empty((hidden, k))
+            self._dc = np.empty((hidden, k))
+            self._dW_t = np.empty((4 * hidden, hidden + n_in))
+        return (self.dS, self._step, self._a, self._dct, self._dc,
+                self._dW_t)
+
+
+def lstm_forward(cell: LstmCell, xs, init: LstmState,
+                 workspace: LstmWorkspace | None = None):
+    """Run the cell over xs (T, k, in) from `init` (c and z of (k, h)).
+
+    Each step is
+
+        [f; i; o; g] = [sigmoid; sigmoid; sigmoid; tanh](W @ [z_prev; x_t])
+        c = c_prev * f + i * g
         z = tanh(c) * o
+
+    as one matmul into the step's gate block followed by in-place ufuncs.
+    Returns (final LstmState as fresh arrays, cache for lstm_backward).
+    The trajectory stays in `workspace` (a private one when None), so the
+    cache is valid only until the next forward on the same workspace.
     """
-    xb, squeeze = _as_batch(x_t)
-    zb, _ = _as_batch(prev.z)
-    cb, _ = _as_batch(prev.c)
-    f = sigmoid(xb @ cell.W_xf.T + zb @ cell.W_zf.T)
-    i = sigmoid(xb @ cell.W_xi.T + zb @ cell.W_zi.T)
-    o = sigmoid(xb @ cell.W_xo.T + zb @ cell.W_zo.T)
-    g = np.tanh(xb @ cell.W_xc.T + zb @ cell.W_zc.T)
-    c = cb * f + i * g
-    tc = np.tanh(c)
-    z = tc * o
-    if not (np.all(np.isfinite(c)) and np.all(np.isfinite(z))):
-        raise NumericError("non-finite LSTM state")
-    cache = (xb, zb, cb, f, i, o, g, c, tc, squeeze)
-    if squeeze:
-        return LstmState(c=c[0], z=z[0]), cache
-    return LstmState(c=c, z=z), cache
-
-
-def _stacked_weights(cell: LstmCell):
-    """(W_x, W_z) with the f/i/o/c gate matrices stacked row-wise, so the
-    four gate pre-activations come out of a single matmul."""
-    wx = np.vstack([cell.W_xf, cell.W_xi, cell.W_xo, cell.W_xc])
-    wz = np.vstack([cell.W_zf, cell.W_zi, cell.W_zo, cell.W_zc])
-    return wx, wz
-
-
-def lstm_forward(cell: LstmCell, sequence, init: LstmState):
-    """Run the cell left-to-right over the sequence; caches the whole
-    trajectory for BPTT. Equivalent to folding lstm_step, but the
-    input-side projections for all timesteps are computed in one matmul
-    and the gate sigmoids use the tanh identity sigma(x) = (1+tanh(x/2))/2,
-    which agrees with the two-branch form to ~1e-16 absolutely and is
-    noticeably faster than exp on some libms. `sequence` may be a list of
-    (k, in) step inputs or a ready (T, k, in) array.
-    """
-    if isinstance(sequence, np.ndarray) and sequence.ndim == 3:
-        xs = np.asarray(sequence, dtype=np.float64)
-        squeeze = False
-    else:
-        T = len(sequence)
-        if T == 0:
-            raise NumericError("lstm_forward needs a non-empty sequence")
-        squeeze = np.asarray(sequence[0]).ndim == 1
-        xs = np.stack([np.atleast_2d(np.asarray(x, dtype=np.float64))
-                       for x in sequence])        # (T, k, in)
-    T, k, _ = xs.shape
-    if T == 0:
-        raise NumericError("lstm_forward needs a non-empty sequence")
+    xs = np.asarray(xs, dtype=np.float64)
+    if xs.ndim != 3 or xs.shape[0] == 0:
+        raise NumericError("lstm_forward needs a non-empty (T, k, in) sequence")
+    T, k, n_in = xs.shape
     h = cell.hidden_size
-    wx, wz = _stacked_weights(cell)
-    wzT = np.ascontiguousarray(wz.T)
-    px = (xs.reshape(T * k, -1) @ wx.T).reshape(T, k, 4 * h)
+    if n_in != cell.input_size:
+        raise NumericError(f"LSTM input width {n_in} != cell input size "
+                           f"{cell.input_size}")
+    if init.z.shape != (k, h) or init.c.shape != (k, h):
+        raise NumericError(f"initial LSTM state must be ({k}, {h})")
+    ws = LstmWorkspace() if workspace is None else workspace
+    S, P, C, TC, ig = ws.forward_buffers(T, k, h, n_in)
+    S[:T, h:] = xs.transpose(0, 2, 1)
+    S[0, :h] = init.z.T
+    C[0] = init.c.T
 
-    z = np.atleast_2d(np.asarray(init.z, dtype=np.float64))
-    c = np.atleast_2d(np.asarray(init.c, dtype=np.float64))
-    z0, c0 = z, c
-    gates = np.empty((T, k, 3 * h))
-    F = gates[:, :, :h]
-    I = gates[:, :, h:2 * h]
-    O = gates[:, :, 2 * h:]
-    G = np.empty((T, k, h))
-    C = np.empty((T, k, h))
-    TC = np.empty((T, k, h))
-    Z = np.empty((T, k, h))
-    tmp = np.empty((k, h))
-    for t in range(T):
-        pre = z @ wzT
-        pre += px[t]
-        g3 = gates[t]
-        np.multiply(pre[:, :3 * h], 0.5, out=g3)
-        np.tanh(g3, out=g3)
-        g3 += 1.0
-        g3 *= 0.5
-        np.tanh(pre[:, 3 * h:], out=G[t])
-        next_c = C[t]
-        np.multiply(c, F[t], out=next_c)
-        np.multiply(I[t], G[t], out=tmp)
-        next_c += tmp
-        np.tanh(next_c, out=TC[t])
-        np.multiply(TC[t], O[t], out=Z[t])
-        c = next_c
-        z = Z[t]
-    if not (np.all(np.isfinite(c)) and np.all(np.isfinite(z))):
+    W = cell.W
+    for p, gates, s, z, c_prev, c, tc in zip(P, P.reshape(T, 4, h, k), S,
+                                             S[1:, :h], C, C[1:], TC):
+        np.matmul(W, s, out=p)
+        f, i, o, g = gates
+        fio = gates[:3]
+        sigmoid(fio, out=fio)
+        np.tanh(g, out=g)
+        np.multiply(f, c_prev, out=c)
+        np.multiply(i, g, out=ig)
+        c += ig
+        np.tanh(c, out=tc)
+        np.multiply(tc, o, out=z)
+    state = LstmState(c=C[T].T.copy(), z=S[T, :h].T.copy())
+    if not (np.all(np.isfinite(state.c)) and np.all(np.isfinite(state.z))):
         raise NumericError("non-finite LSTM state in forward pass")
-    # previous-state trajectories as one vectorized shift, not T small copies
-    Zp = np.empty((T, k, h))
-    Zp[0] = z0
-    Zp[1:] = Z[:-1]
-    Cp = np.empty((T, k, h))
-    Cp[0] = c0
-    Cp[1:] = C[:-1]
-    cache = {"xs": xs, "Zp": Zp, "Cp": Cp, "F": F, "I": I, "O": O, "G": G,
-             "C": C, "TC": TC, "squeeze": squeeze}
-    state = LstmState(c=c[0], z=z[0]) if squeeze else LstmState(c=c, z=z)
+    cache = {"xs": xs, "workspace": ws, "generation": ws.generation,
+             "start": 0}
     return state, cache
 
 
-def lstm_backward(cell: LstmCell, caches, dz_final, dc_final=None):
+def lstm_cache_rows(cache: dict, start: int) -> dict:
+    """The cache restricted to batch rows start: onward; lstm_backward on
+    it equals a backward on a forward pass over those rows alone."""
+    return {**cache, "xs": cache["xs"][:, start:],
+            "start": cache["start"] + start}
+
+
+def lstm_backward(cell: LstmCell, cache: dict, dz_final, dc_final=None):
     """Backpropagation through time from a gradient on the final state.
 
-    Returns (LstmGrads over all eight matrices, list of per-step input
-    gradients in forward order).
+    dz_final and dc_final are (k, h) over the cache's rows. Returns
+    (dW of W's shape, per-step input gradients dX (T, k, in)). Raises
+    StaleCacheError if the workspace has run a forward since `cache`.
     """
-    xs, F, I, O, G, C, TC = (caches[k] for k in
-                             ("xs", "F", "I", "O", "G", "C", "TC"))
-    Zp, Cp, squeeze = caches["Zp"], caches["Cp"], caches["squeeze"]
-    T, k, h = F.shape
-    wx, wz = _stacked_weights(cell)
+    ws = cache["workspace"]
+    if cache["generation"] != ws.generation:
+        raise StaleCacheError("LSTM cache is stale: its workspace has run "
+                              "a later forward pass")
+    lo = cache["start"]
+    S, P, C, TC = ws.S, ws.P, ws.C, ws.TC
+    T, _, k_all = P.shape
+    h = cell.hidden_size
+    n_in = S.shape[1] - h
+    k = k_all - lo
+    dS, step, a, dct, dc, dW_t = ws.backward_buffers(T, k, h, n_in)
 
-    dz, _ = _as_batch(dz_final)
-    dc = np.zeros_like(dz) if dc_final is None else _as_batch(dc_final)[0]
-    # gate-local derivative factors have no time recurrence, so compute
-    # them over the whole trajectory in single ufunc calls up front
-    SF = Cp * F * (1.0 - F)          # d(pre_f): * dct
-    SI = G * I * (1.0 - I)           # d(pre_i): * dct
-    SO = TC * O * (1.0 - O)          # d(pre_o): * dz
-    SG = I * (1.0 - G * G)           # d(pre_c): * dct
-    DT = O * (1.0 - TC * TC)         # dz -> dc through tanh(c)
-    A = np.empty((T, k, 4 * h))  # gate pre-activation gradients, per step
+    dz = np.asarray(dz_final).T
+    dc0 = np.zeros_like(dz) if dc_final is None else np.asarray(dc_final).T
+    if dz.shape != (h, k) or dc0.shape != (h, k):
+        raise NumericError(f"final-state gradients must be ({k}, {h})")
+    dc[...] = dc0
+    dW = np.zeros_like(cell.W)
+    WT = cell.W.T
+    a4 = a.reshape(4, h, k)
+    gates_all = P.reshape(T, 4, h, k_all)[..., lo:]
+    f, i, o, g, c_prev, tc = step
     for t in range(T - 1, -1, -1):
-        dct = dc + dz * DT[t]
-        np.multiply(dct, SF[t], out=A[t, :, :h])
-        np.multiply(dct, SI[t], out=A[t, :, h:2 * h])
-        np.multiply(dz, SO[t], out=A[t, :, 2 * h:3 * h])
-        np.multiply(dct, SG[t], out=A[t, :, 3 * h:])
-        dz = A[t] @ wz
-        dc = dct * F[t]
-
-    # weight gradients: one matmul over the stacked trajectory per side
-    a_flat = A.reshape(T * k, 4 * h)
-    dwx = a_flat.T @ xs.reshape(T * k, -1)
-    dwz = a_flat.T @ Zp.reshape(T * k, h)
-    grads = LstmGrads({
-        "W_xf": dwx[:h], "W_xi": dwx[h:2 * h],
-        "W_xo": dwx[2 * h:3 * h], "W_xc": dwx[3 * h:],
-        "W_zf": dwz[:h], "W_zi": dwz[h:2 * h],
-        "W_zo": dwz[2 * h:3 * h], "W_zc": dwz[3 * h:],
-    })
-    dX = (a_flat @ wx).reshape(T, k, -1)
-    dxs = [dX[t][0] if squeeze else dX[t] for t in range(T)]
-    return grads, dxs
+        # the step's operands as contiguous blocks: a row range of the
+        # trajectory is strided, and every ufunc below would pay for that
+        np.copyto(step[:4], gates_all[t])
+        np.copyto(c_prev, C[t, :, lo:])
+        np.copyto(tc, TC[t, :, lo:])
+        # dL/dc_t: the carried dc plus the path through z_t = o * tanh(c_t)
+        np.multiply(tc, tc, out=dct)
+        np.subtract(1.0, dct, out=dct)
+        dct *= o
+        dct *= dz
+        dct += dc
+        # gate pre-activation gradients, sigmoid' = s (1 - s) for f, i, o
+        np.subtract(1.0, step[:3], out=a4[:3])
+        a4[:3] *= step[:3]
+        a4[0] *= c_prev
+        a4[1] *= g
+        a4[:2] *= dct
+        a4[2] *= tc
+        a4[2] *= dz
+        np.multiply(g, g, out=a4[3])
+        np.subtract(1.0, a4[3], out=a4[3])
+        a4[3] *= i
+        a4[3] *= dct
+        np.matmul(a, S[t, :, lo:].T, out=dW_t)
+        dW += dW_t
+        np.matmul(WT, a, out=dS[t])
+        dz = dS[t, :h]
+        np.multiply(dct, f, out=dc)
+    dX = dS[:, h:].transpose(0, 2, 1).copy()
+    return dW, dX
 
 
 def global_norm(arrays) -> float:

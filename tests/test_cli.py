@@ -1,3 +1,4 @@
+import base64
 import json
 from datetime import datetime, timedelta, timezone
 
@@ -119,6 +120,73 @@ class TestGenerate:
         rc = main(["generate", "--checkpoint", str(bad),
                    "--input", str(price_csv), "--out", str(tmp_path / "g.csv")])
         assert rc == 2
+
+
+def _block(shape):
+    """A checkpoint parameter block of zeros with the given shape."""
+    data = np.zeros(shape, dtype="<f8").tobytes()
+    return {"shape": list(shape), "data": base64.b64encode(data).decode()}
+
+
+def _damage(doc, case):
+    """Apply one named corruption to a loaded checkpoint document."""
+    if case == "foreign_format":
+        doc["format"] = "something-else"
+    elif case == "version_1":
+        doc.clear()
+        doc.update({"format": "tsgan-checkpoint", "version": 1})
+    elif case == "version_3":
+        doc["version"] = 3
+    elif case == "missing_top_key":
+        del doc["adam_g"]
+    elif case == "missing_config_key":
+        del doc["config"]["hidden_size"]
+    elif case == "missing_block_field":
+        del doc["params"]["disc.0.bias"]["data"]
+    elif case == "param_name":
+        doc["params"]["gen.lstm.W_xf"] = doc["params"].pop("gen.lstm.W")
+    elif case == "param_shape":
+        doc["params"]["gen.lstm.W"] = _block((32, 16))
+    elif case == "adam_m_name":
+        m = doc["adam_g"]["m"]
+        m["gen.lstm.W_zf"] = m.pop("gen.lstm.W")
+    elif case == "adam_v_shape":
+        doc["adam_d"]["v"]["disc.0.weights"] = _block((3, 3))
+    else:
+        raise ValueError(case)
+
+
+class TestCheckpointValidation:
+    """generate on a damaged checkpoint: exit 2, a message, no traceback."""
+
+    @pytest.mark.parametrize("case", [
+        "foreign_format", "version_1", "version_3", "missing_top_key",
+        "missing_config_key", "missing_block_field", "param_name",
+        "param_shape", "adam_m_name", "adam_v_shape"])
+    def test_damaged_checkpoint_exit_2(self, price_csv, tmp_path, capsys,
+                                       case):
+        out = tmp_path / "run"
+        assert main(train_args(price_csv, out)) == 0
+        doc = json.loads((out / "checkpoint.json").read_text())
+        _damage(doc, case)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = main(["generate", "--checkpoint", str(bad), "--input",
+                   str(price_csv), "--out", str(tmp_path / "g.csv")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "Traceback" not in err
+        assert err.startswith("data error:")
+
+    def test_not_json_exit_2(self, price_csv, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_text("this is not json {")
+        rc = main(["generate", "--checkpoint", str(bad), "--input",
+                   str(price_csv), "--out", str(tmp_path / "g.csv")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "Traceback" not in err
 
 
 class TestEvaluate:

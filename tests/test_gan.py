@@ -51,7 +51,8 @@ class TestGenerator:
     def test_matches_hand_trace_two_steps(self):
         """d=2: the LSTM sees [cond_0, z] then [cond_1, z]; the head reads
         the final short-term state. Trace both steps in scalars."""
-        from tsgan.nn import LstmState, lstm_step, dense_forward
+        from tsgan.nn import LstmState, dense_forward
+        from lstm_oracle import lstm_step
         config = toy_config(condition_dim=2)
         gen = Generator(config, np.random.default_rng(6))
         cond = np.array([[0.4, -0.3]])
@@ -62,8 +63,36 @@ class TestGenerator:
         for t in range(2):
             x_t = np.concatenate([cond[0, t:t + 1], z[0]])
             state, _ = lstm_step(gen.lstm, x_t, state)
-        head_out, _ = dense_forward(gen.head, state.z)
+        head_out, _ = dense_forward(gen.head, state.z[0])
         assert out[0] == pytest.approx(head_out[0], abs=1e-12)
+
+    def test_backward_on_stale_cache_raises(self):
+        # the generator reuses its LSTM buffers, so a later pass of the
+        # same shape overwrites what an earlier cache points at
+        from tsgan.nn import StaleCacheError
+        gen = Generator(toy_config(), np.random.default_rng(7))
+        rng = np.random.default_rng(8)
+        cond, z = rng.standard_normal((2, 4)), rng.standard_normal((2, 2))
+        _, first = gen.forward(cond, z)
+        gen.forward(-cond, z, keep_cache=False)
+        with pytest.raises(StaleCacheError):
+            gen.backward(first, np.ones(2))
+        _, second = gen.forward(cond, z)
+        fresh = gen.backward(second, np.ones(2))
+        assert set(fresh) == set(gen.params())
+
+    def test_outputs_survive_later_passes(self):
+        gen = Generator(toy_config(), np.random.default_rng(9))
+        rng = np.random.default_rng(10)
+        cond, z = rng.standard_normal((3, 4)), rng.standard_normal((3, 2))
+        out, _ = gen.forward(cond, z)
+        kept = out.copy()
+        fake_d, fake_g, _ = gen.forward_pair(cond, np.concatenate([z, z]))
+        gen.forward(-cond, -z)
+        np.testing.assert_array_equal(out, kept)
+        # the double-width pass computes both halves like two single passes
+        np.testing.assert_array_equal(fake_d, kept)
+        np.testing.assert_array_equal(fake_g, kept)
 
 
 class TestDiscriminator:
