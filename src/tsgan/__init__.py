@@ -1,7 +1,7 @@
 """Conditional GAN library for one-step synthesis of price time series.
 
 Submodules:
-    data       CSV ingestion, cleaning, calendar features, windowing
+    data       CSV ingestion into a columnar series, cleaning, windowing
     scaling    zero-mean/unit-variance standardization with exact inverse
     nn         dense layer + LSTM cell, hand-derived backward passes
     optim      stable BCE-with-logits and Adam

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -98,7 +99,12 @@ def _train_config(args) -> TrainConfig:
     settings = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            settings.update(json.load(fh))
+            try:
+                settings = json.load(fh)
+            except ValueError as exc:
+                raise DataError(f"config {args.config} is not JSON: {exc}")
+        if not isinstance(settings, dict):
+            raise DataError(f"config {args.config} is not a JSON object")
     flag_map = {"seed": args.seed, "epochs": args.epochs,
                 "batch_size": args.batch_size, "noise_dim": args.noise_dim,
                 "condition_dim": args.cond_dim, "lr": args.lr,
@@ -110,7 +116,7 @@ def _train_config(args) -> TrainConfig:
     settings.setdefault("seed", _default_seed())
     try:
         return TrainConfig(**settings)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise DataError(f"bad config: {exc}")
 
 
@@ -126,7 +132,7 @@ def cmd_train(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     result, series, dropped = _load_series(args.input, args.asset)
-    closes = series.closes()
+    closes = series.close
     if args.split:
         closes = closes[:int(0.8 * closes.shape[0])]
     config = _train_config(args)
@@ -149,7 +155,7 @@ def cmd_train(args) -> int:
         "rows_rejected": len(result.rejects),
         "bars_dropped_in_clean": dropped,
         "train_split": 0.8 if args.split else 1.0,
-        "config": checkpoint_config_dict(config),
+        "config": dataclasses.asdict(config),
         "noise_distribution": "standard-normal",
         "shuffle_policy": "per-epoch, seeded, last partial batch dropped",
         "adam_epsilon": 1e-8,
@@ -163,29 +169,21 @@ def cmd_train(args) -> int:
     return 0
 
 
-def checkpoint_config_dict(config: TrainConfig) -> dict:
-    return {"noise_dim": config.noise_dim, "condition_dim": config.condition_dim,
-            "batch_size": config.batch_size, "epochs": config.epochs,
-            "lr": config.lr, "beta1": config.beta1, "beta2": config.beta2,
-            "seed": config.seed, "hidden_size": config.hidden_size,
-            "disc_layers": list(config.disc_layers),
-            "clip_norm": config.clip_norm, "init_scheme": config.init_scheme}
-
-
 def cmd_generate(args) -> int:
     model = checkpoint.load(args.checkpoint)
     _, series, _ = _load_series(args.input)
-    closes = series.closes()
+    closes = series.close
     d = model.config.condition_dim
     seed = args.seed if args.seed is not None else _default_seed()
     generated = synthesize_series(model.generator, model.scaler, closes,
                                   condition_dim=d, mode=args.mode, seed=seed)
-    timestamps = series.timestamps()[d:]
+    timestamps = series.timestamp[d:].astype(object)  # naive UTC datetimes
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["timestamp", "real_close", "generated_close"])
         for ts, real, fake in zip(timestamps, closes[d:], generated):
-            writer.writerow([ts.isoformat(), repr(float(real)), repr(float(fake))])
+            writer.writerow([f"{ts.isoformat()}+00:00", repr(float(real)),
+                             repr(float(fake))])
     print(f"wrote {args.out} ({generated.shape[0]} rows, mode={args.mode})")
     return 0
 

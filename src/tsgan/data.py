@@ -1,72 +1,55 @@
-"""Minute-bar CSV ingestion, cleaning, calendar features, and windowing.
+"""Minute-bar CSV ingestion, cleaning, and windowing.
 
 Everything here is a pure function over immutable inputs: load once, clean,
-then slice normalized closes into (condition window, next value) pairs.
+then slice normalized closes into (condition window, next value) pairs. A
+series is columnar: one array per CSV column, rows ascending in time.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
-from datetime import datetime, timezone
+from dataclasses import dataclass, field
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
 from .errors import DataError
 
-DEFAULT_SCHEMA = {
-    "timestamp": "timestamp",
-    "open": "open",
-    "high": "high",
-    "low": "low",
-    "close": "close",
-}
-
-REQUIRED_COLUMNS = ("timestamp", "close")
-OPTIONAL_COLUMNS = ("open", "high", "low")
-
-
-@dataclass(frozen=True)
-class Bar:
-    """One minute-resolution OHLC record, timestamps in UTC."""
-
-    timestamp: datetime
-    open: float
-    high: float
-    low: float
-    close: float
-
-    def is_valid(self) -> bool:
-        prices = (self.open, self.high, self.low, self.close)
-        if not all(math.isfinite(p) and p > 0 for p in prices):
-            return False
-        return (self.low <= self.open <= self.high
-                and self.low <= self.close <= self.high)
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_MICROSECOND = timedelta(microseconds=1)
 
 
 @dataclass
 class TimeSeries:
+    """Minute-resolution OHLC bars as equal-length columns, ascending in
+    time. `timestamp` is datetime64[us] in UTC (int64 microseconds since
+    the epoch are accepted); the prices are float64."""
+
     asset_id: str
-    bars: list[Bar]
-    period_label: str = ""
+    timestamp: np.ndarray
+    open: np.ndarray
+    high: np.ndarray
+    low: np.ndarray
+    close: np.ndarray
 
-    def closes(self) -> np.ndarray:
-        return np.array([b.close for b in self.bars], dtype=np.float64)
-
-    def timestamps(self) -> list[datetime]:
-        return [b.timestamp for b in self.bars]
+    def __post_init__(self):
+        self.timestamp = np.asarray(self.timestamp, dtype="datetime64[us]")
+        for name in ("open", "high", "low", "close"):
+            setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+        shapes = {col.shape for col in (self.timestamp, self.open, self.high,
+                                        self.low, self.close)}
+        if len(shapes) != 1 or self.timestamp.ndim != 1:
+            raise ValueError(f"TimeSeries columns must be 1-D and of equal "
+                             f"length, got shapes {sorted(shapes)}")
 
     def __len__(self) -> int:
-        return len(self.bars)
+        return self.close.shape[0]
 
-
-@dataclass(frozen=True)
-class CalendarFeatures:
-    month: int
-    day: int
-    hour: int
-    minute: int
+    def take(self, index) -> TimeSeries:
+        """The rows picked by `index` (a boolean mask or positions)."""
+        return TimeSeries(self.asset_id, self.timestamp[index], self.open[index],
+                          self.high[index], self.low[index], self.close[index])
 
 
 @dataclass
@@ -98,8 +81,9 @@ class PairSet:
         return self.conditions.shape[1]
 
 
-def _parse_timestamp(raw: str, fmt: str | None) -> tuple[datetime, str]:
-    """Parse RFC 3339 or epoch-seconds; returns (datetime, detected format).
+def _parse_timestamp(raw: str, fmt: str | None) -> tuple[int, str]:
+    """Parse RFC 3339 or epoch-seconds; returns (microseconds since the
+    epoch, detected format).
 
     The format is detected from the first parseable row and must stay
     uniform for the rest of the file.
@@ -107,9 +91,9 @@ def _parse_timestamp(raw: str, fmt: str | None) -> tuple[datetime, str]:
     raw = raw.strip()
     if fmt in (None, "epoch"):
         try:
-            ts = float(raw)
-            return datetime.fromtimestamp(ts, tz=timezone.utc), "epoch"
-        except ValueError:
+            dt = datetime.fromtimestamp(float(raw), tz=timezone.utc)
+            return (dt - _EPOCH) // _MICROSECOND, "epoch"
+        except (ValueError, OverflowError):  # not a number, or out of range
             if fmt == "epoch":
                 raise ValueError(f"timestamp {raw!r} is not epoch-seconds")
     try:
@@ -118,81 +102,79 @@ def _parse_timestamp(raw: str, fmt: str | None) -> tuple[datetime, str]:
         raise ValueError(f"timestamp {raw!r} is not RFC 3339 or epoch-seconds")
     if dt.tzinfo is None:
         dt = dt.replace(tzinfo=timezone.utc)
-    return dt.astimezone(timezone.utc), "rfc3339"
+    # OverflowError when the offset moves it out of datetime's years 1-9999
+    dt = dt.astimezone(timezone.utc)
+    return (dt - _EPOCH) // _MICROSECOND, "rfc3339"
 
 
-def load_csv(path, schema: dict[str, str] | None = None,
-             asset_id: str = "", period_label: str = "") -> LoadResult:
-    """Load a price CSV into an ascending-time TimeSeries.
+def load_csv(path, asset_id: str = "") -> LoadResult:
+    """Load a `timestamp,open,high,low,close` CSV into an ascending-time
+    TimeSeries.
 
-    `schema` maps logical names (timestamp, close, and optionally
-    open/high/low) to the file's column headers. Rows that fail to parse
-    are collected into the rejects report, never dropped silently.
+    Only timestamp and close are required; without all of open/high/low
+    they are set to the close. Rows that fail to parse are collected into
+    the rejects report, never dropped silently.
     """
-    schema = dict(DEFAULT_SCHEMA if schema is None else schema)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
-        for logical in REQUIRED_COLUMNS:
-            col = schema.get(logical)
-            if col is None or col not in header:
-                raise DataError(f"missing required column {col or logical!r} in {path}")
-        have_ohlc = all(schema.get(c) in header for c in OPTIONAL_COLUMNS)
+        for col in ("timestamp", "close"):
+            if col not in header:
+                raise DataError(f"missing required column {col!r} in {path}")
+        have_ohlc = {"open", "high", "low"} <= set(header)
 
-        bars: list[Bar] = []
+        stamps, opens, highs, lows, closes = [], [], [], [], []
         rejects: list[Reject] = []
         ts_format: str | None = None
         n_rows = 0
         for row_no, row in enumerate(reader, start=2):  # row 1 is the header
             n_rows += 1
             try:
-                ts, detected = _parse_timestamp(row[schema["timestamp"]], ts_format)
+                ts, detected = _parse_timestamp(row["timestamp"], ts_format)
                 ts_format = ts_format or detected
-                close = float(row[schema["close"]])
+                close = float(row["close"])
                 if not math.isfinite(close):
-                    raise ValueError(f"close {row[schema['close']]!r} is not finite")
+                    raise ValueError(f"close {row['close']!r} is not finite")
                 if have_ohlc:
-                    o = float(row[schema["open"]])
-                    h = float(row[schema["high"]])
-                    lo = float(row[schema["low"]])
+                    o = float(row["open"])
+                    h = float(row["high"])
+                    lo = float(row["low"])
                     if not all(math.isfinite(v) for v in (o, h, lo)):
                         raise ValueError("non-finite OHLC value")
                 else:
                     o = h = lo = close
-                bars.append(Bar(ts, o, h, lo, close))
-            except (ValueError, TypeError, KeyError) as exc:
+            except (ValueError, TypeError, KeyError, OverflowError) as exc:
                 rejects.append(Reject(row_no, str(exc)))
+                continue
+            stamps.append(ts)
+            opens.append(o)
+            highs.append(h)
+            lows.append(lo)
+            closes.append(close)
 
-    bars.sort(key=lambda b: b.timestamp)
-    series = TimeSeries(asset_id=asset_id, bars=bars, period_label=period_label)
+    series = TimeSeries(asset_id, np.array(stamps, dtype=np.int64), opens,
+                        highs, lows, closes)
+    series = series.take(np.argsort(series.timestamp, kind="stable"))
     return LoadResult(series=series, n_rows=n_rows, rejects=rejects)
 
 
 def clean(series: TimeSeries) -> tuple[TimeSeries, int]:
-    """Drop invariant-violating bars and duplicate timestamps (keep first).
+    """Drop invariant-violating bars, then, among the valid ones, all but
+    the first bar of each timestamp. Expects ascending time, as load_csv
+    returns it.
 
     Returns the cleaned series and the number of bars dropped.
     """
-    kept: list[Bar] = []
-    seen: set[datetime] = set()
-    for bar in series.bars:
-        if bar.timestamp in seen or not bar.is_valid():
-            continue
-        seen.add(bar.timestamp)
-        kept.append(bar)
-    if not kept:
+    prices = np.stack([series.open, series.high, series.low, series.close])
+    valid = (np.all(np.isfinite(prices) & (prices > 0), axis=0)
+             & (series.low <= series.open) & (series.open <= series.high)
+             & (series.low <= series.close) & (series.close <= series.high))
+    rows = np.flatnonzero(valid)
+    if rows.size == 0:
         raise DataError(f"no usable data in series {series.asset_id!r} after cleaning")
-    dropped = len(series.bars) - len(kept)
-    return replace(series, bars=kept), dropped
-
-
-def extract_calendar(series: TimeSeries) -> list[CalendarFeatures]:
-    """Month/day/hour/minute per bar, read from the UTC timestamp."""
-    out = []
-    for bar in series.bars:
-        ts = bar.timestamp.astimezone(timezone.utc)
-        out.append(CalendarFeatures(ts.month, ts.day, ts.hour, ts.minute))
-    return out
+    stamps = series.timestamp[rows]
+    rows = rows[np.r_[True, stamps[1:] != stamps[:-1]]]
+    return series.take(rows), len(series) - rows.size
 
 
 def make_pairs(closes: np.ndarray, d: int) -> PairSet:

@@ -19,9 +19,10 @@ import numpy as np
 from . import scaling
 from .data import PairSet
 from .errors import DataError, NumericError
-from .nn import (DenseLayer, LstmCell, LstmState, LstmWorkspace,
-                 clip_global_norm, dense_backward, dense_forward,
-                 lstm_backward, lstm_cache_rows, lstm_forward, sigmoid)
+from .nn import (INIT_SCHEMES, DenseLayer, LstmCell, LstmState,
+                 LstmWorkspace, clip_global_norm, dense_backward,
+                 dense_forward, lstm_backward, lstm_cache_rows, lstm_forward,
+                 sigmoid)
 from .optim import AdamState, adam_step, bce_with_logits
 
 LN2 = float(np.log(2.0))
@@ -47,7 +48,16 @@ class TrainConfig:
                      "lr", "hidden_size"):
             if getattr(self, name) <= 0:
                 raise DataError(f"TrainConfig.{name} must be positive")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise DataError(f"TrainConfig.{name} must be in [0, 1)")
+        if not self.clip_norm >= 0:
+            raise DataError("TrainConfig.clip_norm must be >= 0 (0: no clipping)")
+        if self.init_scheme not in INIT_SCHEMES:
+            raise DataError(f"TrainConfig.init_scheme must be one of {INIT_SCHEMES}")
         self.disc_layers = tuple(int(w) for w in self.disc_layers)
+        if not all(w > 0 for w in self.disc_layers):
+            raise DataError("TrainConfig.disc_layers widths must be positive")
 
 
 @dataclass

@@ -31,7 +31,6 @@ class VolatilityProfile:
     min_change: float
     max_change: float
     variance: float
-    period_label: str = ""
 
 
 def _check_lengths(a: np.ndarray, b: np.ndarray, minimum: int) -> None:
@@ -56,15 +55,11 @@ def pearson(a, b) -> float:
 def _average_ranks(x: np.ndarray) -> np.ndarray:
     """Ranks 1..n; tied values receive the mean of their rank range."""
     order = np.argsort(x, kind="stable")
-    ranks = np.empty(x.size, dtype=np.float64)
     sorted_x = x[order]
-    i = 0
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and sorted_x[j + 1] == sorted_x[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    first = np.flatnonzero(np.r_[True, sorted_x[1:] != sorted_x[:-1]])
+    last = np.r_[first[1:], x.size] - 1
+    ranks = np.empty(x.size, dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (first + last) + 1.0, last - first + 1)
     return ranks
 
 
@@ -104,21 +99,18 @@ def evaluate(real, generated, scale: str = "original") -> MetricsReport:
 
 def volatility_profile(series: TimeSeries) -> VolatilityProfile:
     """Day-over-day percent change of the last close per UTC calendar day."""
-    daily_close: dict = {}
-    for bar in series.bars:
-        daily_close[bar.timestamp.date()] = bar.close  # bars are ascending
-    if len(daily_close) < 2:
+    day = series.timestamp.astype("datetime64[D]")
+    last = np.flatnonzero(np.r_[day[1:] != day[:-1], True])  # bars ascend
+    if last.size < 2:
         raise DataError("volatility profile needs at least 2 distinct days")
-    days = sorted(daily_close)
-    closes = np.array([daily_close[day] for day in days], dtype=np.float64)
+    closes = series.close[last]
     if np.any(closes <= 0):
         raise DataError("percent changes require strictly positive prices")
     changes = (closes[1:] / closes[:-1] - 1.0) * 100.0
     return VolatilityProfile(
-        days=[day.isoformat() for day in days[1:]],
+        days=np.datetime_as_string(day[last[1:]]).tolist(),
         pct_changes=changes,
         min_change=float(changes.min()),
         max_change=float(changes.max()),
         variance=float(changes.var()),
-        period_label=series.period_label,
     )

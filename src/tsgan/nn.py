@@ -69,6 +69,9 @@ def _activation_grad(name: str, pre: np.ndarray, post: np.ndarray) -> np.ndarray
     raise ValueError(f"unknown activation {name!r}")
 
 
+INIT_SCHEMES = ("zeros", "uniform-xavier")
+
+
 def init_params(shape, scheme: str, rng: np.random.Generator) -> np.ndarray:
     """Fresh parameter array: 'zeros' or 'uniform-xavier' (fan-based bound)."""
     if scheme == "zeros":

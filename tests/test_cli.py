@@ -1,9 +1,13 @@
 import base64
 import json
+import tempfile
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsgan.cli import main
 
@@ -52,6 +56,8 @@ class TestTrain:
         assert manifest["config"]["init_scheme"] == "uniform-xavier"
         assert manifest["noise_distribution"] == "standard-normal"
         assert manifest["adam_epsilon"] == 1e-8
+        ckpt = json.loads((out / "checkpoint.json").read_text())
+        assert manifest["config"] == ckpt["config"]
 
     def test_default_epochs_is_fifty(self, price_csv, tmp_path, capsys):
         # checked via the config object, not an actual 50-epoch run
@@ -88,6 +94,29 @@ class TestTrain:
         assert manifest["config"]["epochs"] == 1   # flag wins
         assert manifest["config"]["seed"] == 3     # file fills the rest
 
+    @pytest.mark.parametrize("text", [
+        "this is not json {", "[1, 2]", '"epochs"', "\udcff",
+        '{"init_scheme": "nope"}', '{"beta1": 1.5}', '{"beta1": -0.1}',
+        '{"beta2": 1.0}', '{"clip_norm": -1}', '{"clip_norm": NaN}',
+        '{"disc_layers": [64, 0]}', '{"disc_layers": ["wide"]}',
+        '{"no_such_field": 1}'])
+    def test_bad_config_exit_2(self, price_csv, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(text.encode("utf-8", "surrogateescape"))
+        rc = main(train_args(price_csv, tmp_path / "run", config=cfg))
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "Traceback" not in err
+        assert err.startswith("data error:")
+
+    def test_zero_clip_norm_still_trains(self, price_csv, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"clip_norm": 0}')
+        out = tmp_path / "run"
+        assert main(train_args(price_csv, out, config=cfg)) == 0
+        assert json.loads((out / "manifest.json").read_text())[
+            "config"]["clip_norm"] == 0
+
 
 class TestGenerate:
     @pytest.fixture
@@ -113,6 +142,24 @@ class TestGenerate:
         main(["generate", "--checkpoint", ckpt, "--input", str(price_csv),
               "--out", str(b), "--seed", "1"])
         assert a.read_bytes() == b.read_bytes()
+
+    def test_timestamps_match_isoformat(self, run_dir, tmp_path):
+        # epoch seconds: 8 condition rows, then whole, fractional, pre-1970
+        # and sub-microsecond stamps (rounded half-even by fromtimestamp)
+        stamps = [-2e9 + i for i in range(8)] + [
+            -86400.75, -0.5, 0.0, 1647871200.0, 1647871200.25,
+            1647871201.0000005, 1647871202.0000015, 1647871260.999999]
+        src = tmp_path / "epoch.csv"
+        src.write_text("timestamp,close\n" + "".join(
+            f"{t!r},{100 + i}\n" for i, t in enumerate(reversed(stamps))))
+        out_csv = tmp_path / "generated.csv"
+        assert main(["generate", "--checkpoint",
+                     str(run_dir / "checkpoint.json"), "--input", str(src),
+                     "--out", str(out_csv)]) == 0
+        got = [line.split(",")[0]
+               for line in out_csv.read_text().splitlines()[1:]]
+        assert got == [datetime.fromtimestamp(t, tz=timezone.utc).isoformat()
+                       for t in sorted(stamps)[8:]]
 
     def test_bad_checkpoint_exit_2(self, price_csv, tmp_path):
         bad = tmp_path / "bad.json"
@@ -291,6 +338,58 @@ class TestAnalyze:
         p.write_text("".join(lines))
         rc = main(["analyze", "--input", str(p), "--out", str(tmp_path / "v.csv")])
         assert rc == 2
+
+    def test_out_of_range_epoch_rows_rejected(self, tmp_path, capsys):
+        p = tmp_path / "epoch.csv"
+        lines = ["timestamp,close\n"]
+        lines += [f"{1647871200 + 3600 * i},{100 + i}\n" for i in range(60)]
+        lines[10:10] = ["inf,100\n", "1e20,100\n", "-1e20,100\n"]
+        p.write_text("".join(lines))
+        rc = main(["analyze", "--input", str(p), "--out", str(tmp_path / "v.csv")])
+        assert rc == 0
+        assert "Traceback" not in capsys.readouterr().err
+
+
+def _profile_rows():
+    """Data rows over 5 UTC days with distinct timestamps; every 7th row
+    breaks an OHLC invariant."""
+    start = datetime(2022, 3, 21, 1, 30, tzinfo=timezone.utc)
+    rows = []
+    for i in range(60):
+        ts = (start + timedelta(hours=2 * i, microseconds=250000 * (i % 3)))
+        close = 100.0 + 3.0 * np.sin(i / 5.0)
+        high, low = close + 1.0, close - 1.0
+        if i % 7 == 3:
+            high = low - 0.5
+        elif i % 7 == 5:
+            close = -close
+        rows.append(f"{ts.isoformat()},{close},{high},{low},{close}\n")
+    return rows
+
+
+PROFILE_ROWS = _profile_rows()
+
+
+@given(st.permutations(range(len(PROFILE_ROWS))))
+@settings(max_examples=25, deadline=None)
+def test_row_order_does_not_change_analyze_or_clean(order):
+    from tsgan import data
+
+    with tempfile.TemporaryDirectory() as tmp:
+        results = []
+        for name, rows in (("sorted", PROFILE_ROWS),
+                           ("shuffled", [PROFILE_ROWS[i] for i in order])):
+            src = Path(tmp) / f"{name}.csv"
+            src.write_text("timestamp,open,high,low,close\n" + "".join(rows))
+            vol = Path(tmp) / f"{name}.vol.csv"
+            assert main(["analyze", "--input", str(src), "--out", str(vol)]) == 0
+            series, dropped = data.clean(data.load_csv(src).series)
+            results.append((vol.read_bytes(), series, dropped))
+    (vol_a, a, dropped_a), (vol_b, b, dropped_b) = results
+    assert vol_a == vol_b
+    assert dropped_a == dropped_b > 0
+    for col in ("timestamp", "open", "high", "low", "close"):
+        np.testing.assert_array_equal(getattr(a, col), getattr(b, col))
 
 
 class TestSeedEnvFallback:

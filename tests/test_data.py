@@ -1,3 +1,5 @@
+from datetime import datetime
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,16 @@ def row(ts, o, h, lo, c):
     return f"{ts},{o},{h},{lo},{c}\n"
 
 
+def columns(series):
+    return (series.timestamp, series.open, series.high, series.low,
+            series.close)
+
+
+def assert_same_series(a, b):
+    for col_a, col_b in zip(columns(a), columns(b)):
+        np.testing.assert_array_equal(col_a, col_b)
+
+
 class TestLoadCsv:
     def test_three_rows_ascending(self, tmp_path):
         p = write_csv(tmp_path / "a.csv", [
@@ -28,8 +40,9 @@ class TestLoadCsv:
         result = data.load_csv(p)
         assert result.n_rows == 3
         assert len(result.series) == 3
-        ts = result.series.timestamps()
-        assert ts == sorted(ts)
+        ts = result.series.timestamp
+        assert ts.dtype == np.dtype("datetime64[us]")
+        assert np.all(ts[1:] > ts[:-1])
 
     def test_reverse_order_is_sorted(self, tmp_path):
         p = write_csv(tmp_path / "a.csv", [
@@ -38,8 +51,15 @@ class TestLoadCsv:
             row("2022-03-21T14:00:00Z", 1, 2, 1, 1.3),
         ])
         series = data.load_csv(p).series
-        closes = series.closes()
-        assert closes.tolist() == [1.3, 1.4, 1.5]
+        assert series.close.tolist() == [1.3, 1.4, 1.5]
+
+    def test_equal_timestamps_keep_file_order(self, tmp_path):
+        p = write_csv(tmp_path / "a.csv", [
+            row("2022-03-21T14:01:00Z", 1, 2, 1, 1.1),
+            row("2022-03-21T14:00:00Z", 1, 2, 1, 1.2),
+            row("2022-03-21T15:01:00+01:00", 1, 2, 1, 1.3),
+        ])
+        assert data.load_csv(p).series.close.tolist() == [1.2, 1.1, 1.3]
 
     def test_nan_close_rejected(self, tmp_path):
         p = write_csv(tmp_path / "a.csv", [
@@ -61,102 +81,155 @@ class TestLoadCsv:
     def test_epoch_seconds_timestamps(self, tmp_path):
         p = write_csv(tmp_path / "a.csv", [
             row(1647871200, 1, 2, 1, 1.5),
-            row(1647871260, 1, 2, 1, 1.6),
+            row(1647871260.25, 1, 2, 1, 1.6),
         ])
         series = data.load_csv(p).series
-        assert series.bars[0].timestamp.hour == 14  # 2022-03-21T14:00Z
+        assert series.timestamp.tolist() == [
+            datetime(2022, 3, 21, 14, 0), datetime(2022, 3, 21, 14, 1, 0, 250000)]
+
+    @pytest.mark.parametrize("first", [False, True])
+    def test_out_of_range_epoch_rejected(self, tmp_path, first):
+        good = [row(1647871200, 1, 2, 1, 1.5), row(1647871260, 1, 2, 1, 1.6)]
+        bad = [row(raw, 1, 2, 1, 1.5) for raw in ("inf", "1e20", "-1e20", "1e15")]
+        p = write_csv(tmp_path / "a.csv", bad + good if first else good + bad)
+        result = data.load_csv(p)
+        assert result.series.close.tolist() == [1.5, 1.6]
+        assert [r.row for r in result.rejects] == \
+            ([2, 3, 4, 5] if first else [4, 5, 6, 7])
+        assert all("timestamp" in r.reason for r in result.rejects)
+
+    def test_offset_beyond_datetime_range_rejected(self, tmp_path):
+        p = write_csv(tmp_path / "a.csv", [
+            row("2022-03-21T14:00:00Z", 1, 2, 1, 1.5),
+            row("0001-01-01T00:30:00+01:00", 1, 2, 1, 1.5),
+            row("9999-12-31T23:00:00-02:00", 1, 2, 1, 1.5),
+        ])
+        result = data.load_csv(p)
+        assert len(result.series) == 1
+        assert [r.row for r in result.rejects] == [3, 4]
 
     def test_close_only_schema(self, tmp_path):
         p = tmp_path / "a.csv"
         p.write_text("timestamp,close\n2022-03-21T14:00:00Z,1.5\n")
         series = data.load_csv(p).series
-        bar = series.bars[0]
-        assert bar.open == bar.high == bar.low == bar.close == 1.5
+        assert series.open[0] == series.high[0] == series.low[0] \
+            == series.close[0] == 1.5
 
     def test_roundtrip(self, tmp_path):
         rows = [
             row("2022-03-21T14:00:00+00:00", 10.0, 11.0, 9.0, 10.5),
-            row("2022-03-21T14:01:00+00:00", 10.5, 11.0, 10.0, 10.8),
+            row("2022-03-21T14:01:00.5+00:00", 10.5, 11.0, 10.0, 10.8),
         ]
         p1 = write_csv(tmp_path / "a.csv", rows)
         s1 = data.load_csv(p1).series
         out = tmp_path / "b.csv"
-        with open(out, "w") as fh:
-            fh.write(CSV_HEADER)
-            for b in s1.bars:
-                fh.write(row(b.timestamp.isoformat(), b.open, b.high, b.low, b.close))
-        s2 = data.load_csv(out).series
-        assert s1.bars == s2.bars
+        stamps = np.datetime_as_string(s1.timestamp, unit="us")
+        write_csv(out, [row(f"{t}+00:00", o, h, lo, c) for t, o, h, lo, c in
+                        zip(stamps, s1.open, s1.high, s1.low, s1.close)])
+        assert_same_series(data.load_csv(out).series, s1)
+
+
+def mkseries(bars):
+    """A series from (minute, open, high, low, close) tuples."""
+    minute, o, h, lo, c = zip(*bars)
+    ts = np.datetime64("2022-03-21T14:00", "us") + \
+        np.array(minute) * np.timedelta64(1, "m")
+    return data.TimeSeries("T", ts, o, h, lo, c)
+
+
+def bar(minute, close=10.0, **kw):
+    fields = dict(open=close, high=close, low=close, close=close)
+    fields.update(kw)
+    return (minute, fields["open"], fields["high"], fields["low"],
+            fields["close"])
+
+
+class TestTimeSeries:
+    def test_int64_microseconds_are_timestamps(self):
+        series = data.TimeSeries("T", np.array([0, 1_500_000]), [1, 2], [1, 2],
+                                 [1, 2], [1, 2])
+        assert series.timestamp.tolist() == [datetime(1970, 1, 1),
+                                             datetime(1970, 1, 1, 0, 0, 1, 500000)]
+        assert series.close.dtype == np.float64
+
+    def test_unequal_columns_rejected(self):
+        with pytest.raises(ValueError):
+            data.TimeSeries("T", np.array([0, 1]), [1, 2], [1, 2], [1, 2], [1])
 
 
 class TestClean:
-    def mkseries(self, bars):
-        return data.TimeSeries(asset_id="T", bars=bars)
-
-    def bar(self, minute, close=10.0, **kw):
-        from datetime import datetime, timezone
-        ts = datetime(2022, 3, 21, 14, minute, tzinfo=timezone.utc)
-        fields = dict(open=close, high=close, low=close, close=close)
-        fields.update(kw)
-        return data.Bar(ts, **fields)
-
     def test_duplicate_minute_dropped(self):
-        series = self.mkseries([self.bar(0), self.bar(1), self.bar(1)])
+        series = mkseries([bar(0), bar(1), bar(1)])
         cleaned, dropped = data.clean(series)
         assert len(cleaned) == 2
         assert dropped == 1
 
     def test_nonpositive_close_dropped(self):
-        series = self.mkseries([self.bar(0), self.bar(1, close=-3.0)])
+        series = mkseries([bar(0), bar(1, close=-3.0)])
         cleaned, _ = data.clean(series)
         assert len(cleaned) == 1
 
+    def test_non_finite_prices_dropped(self):
+        series = mkseries([bar(0), bar(1, high=np.inf), bar(2, open=np.nan),
+                           bar(3)])
+        cleaned, dropped = data.clean(series)
+        assert cleaned.close.tolist() == [10.0, 10.0]
+        assert dropped == 2
+
+    def test_invalid_first_duplicate_does_not_block_valid_one(self):
+        series = mkseries([bar(0), bar(1, close=-1.0), bar(1, close=11.0),
+                           bar(1, close=12.0)])
+        cleaned, dropped = data.clean(series)
+        assert cleaned.close.tolist() == [10.0, 11.0]
+        assert dropped == 2
+
     def test_ten_row_fixture_two_anomalies(self):
-        bars = [self.bar(m) for m in range(8)]
-        bars.append(self.bar(3))                       # duplicate minute
-        bars.append(self.bar(9, high=5.0))             # high < close
-        bars.sort(key=lambda b: b.timestamp)
-        cleaned, dropped = data.clean(self.mkseries(bars))
+        bars = [bar(m) for m in range(8)]
+        bars.append(bar(3))                       # duplicate minute
+        bars.append(bar(9, high=5.0))             # high < close
+        bars.sort(key=lambda b: b[0])
+        cleaned, dropped = data.clean(mkseries(bars))
         assert len(cleaned) == 8
         assert dropped == 2
 
     def test_empty_result_fatal(self):
-        series = self.mkseries([self.bar(0, close=-1.0)])
+        series = mkseries([bar(0, close=-1.0)])
         with pytest.raises(DataError, match="no usable data"):
             data.clean(series)
 
+    def test_matches_row_loop_reference(self):
+        """The per-row rule: a bar is kept when all four prices are finite
+        and > 0, low <= open <= high, low <= close <= high, and no earlier
+        kept bar has its timestamp."""
+        rng = np.random.default_rng(8)
+        for _ in range(50):
+            n = int(rng.integers(1, 300))
+            minutes = np.sort(rng.integers(0, n // 2 + 1, n))
+            prices = rng.choice([1.0, 2.0, 3.0, 0.0, -1.0, np.nan, np.inf],
+                                size=(4, n), p=[.3, .3, .3, .025, .025, .025, .025])
+            series = mkseries(list(zip(minutes.tolist(), *prices.tolist())))
+            kept, seen = [], set()
+            for i, (ts, o, h, lo, c) in enumerate(zip(*columns(series))):
+                ok = all(np.isfinite(v) and v > 0 for v in (o, h, lo, c)) \
+                    and lo <= o <= h and lo <= c <= h
+                if ok and ts not in seen:
+                    seen.add(ts)
+                    kept.append(i)
+            if not kept:
+                with pytest.raises(DataError):
+                    data.clean(series)
+                continue
+            cleaned, dropped = data.clean(series)
+            assert_same_series(cleaned, series.take(kept))
+            assert dropped == n - len(kept)
+
     def test_idempotent(self):
-        bars = [self.bar(m) for m in range(5)] + [self.bar(2)]
-        bars.sort(key=lambda b: b.timestamp)
-        once, _ = data.clean(self.mkseries(bars))
+        bars = [bar(m) for m in range(5)] + [bar(2)]
+        bars.sort(key=lambda b: b[0])
+        once, _ = data.clean(mkseries(bars))
         twice, dropped = data.clean(once)
-        assert twice.bars == once.bars
+        assert_same_series(twice, once)
         assert dropped == 0
-
-
-class TestCalendar:
-    def test_direct_read(self):
-        from datetime import datetime, timezone
-        bar = data.Bar(datetime(2022, 3, 21, 14, 7, tzinfo=timezone.utc),
-                       1, 1, 1, 1)
-        feats = data.extract_calendar(data.TimeSeries("T", [bar]))
-        assert feats[0] == data.CalendarFeatures(3, 21, 14, 7)
-
-    def test_midnight(self):
-        from datetime import datetime, timezone
-        bar = data.Bar(datetime(2022, 4, 1, 0, 0, tzinfo=timezone.utc),
-                       1, 1, 1, 1)
-        feats = data.extract_calendar(data.TimeSeries("T", [bar]))
-        assert feats[0].hour == 0 and feats[0].minute == 0
-
-    def test_month_boundary(self):
-        from datetime import datetime, timezone
-        bars = [
-            data.Bar(datetime(2022, 3, 31, 23, 59, tzinfo=timezone.utc), 1, 1, 1, 1),
-            data.Bar(datetime(2022, 4, 1, 0, 0, tzinfo=timezone.utc), 1, 1, 1, 1),
-        ]
-        feats = data.extract_calendar(data.TimeSeries("T", bars))
-        assert [f.month for f in feats] == [3, 4]
 
 
 class TestMakePairs:

@@ -1,11 +1,9 @@
-from datetime import datetime, timezone
-
 import numpy as np
 import pytest
 import scipy.stats
 
 from tsgan import metrics
-from tsgan.data import Bar, TimeSeries
+from tsgan.data import TimeSeries
 from tsgan.errors import DataError
 
 
@@ -108,6 +106,18 @@ class TestOracleEquivalence:
                 (sum((x - y) ** 2 for x, y in zip(a, b)) / n) ** 0.5, rel=1e-12)
             assert r >= m
 
+    def test_tied_ranks_match_scipy_exactly(self):
+        rng = np.random.default_rng(6)
+        for _ in range(200):
+            n = int(rng.integers(2, 2001))
+            a = np.round(rng.normal(100.0, rng.uniform(0.01, 1.0), n), 2)
+            b = np.round(a + rng.normal(0.0, 0.05, n), 2)
+            np.testing.assert_array_equal(
+                metrics._average_ranks(a),
+                scipy.stats.rankdata(a, method="average"))
+            assert metrics.spearman(a, b) == pytest.approx(
+                scipy.stats.spearmanr(a, b).statistic, rel=1e-12, abs=1e-12)
+
 
 class TestEvaluate:
     def test_perfect_match(self):
@@ -136,11 +146,10 @@ class TestEvaluate:
 
 
 def day_series(closes, start_day=1):
-    bars = []
-    for i, c in enumerate(closes):
-        ts = datetime(2022, 3, start_day + i, 23, 59, tzinfo=timezone.utc)
-        bars.append(Bar(ts, c, c, c, c))
-    return TimeSeries("T", bars, period_label="test")
+    """One close per day at 23:59 UTC, from 2022-03-<start_day>."""
+    ts = np.datetime64(f"2022-03-{start_day:02d}T23:59", "us") + \
+        np.arange(len(closes)) * np.timedelta64(1, "D")
+    return TimeSeries("T", ts, closes, closes, closes, closes)
 
 
 class TestVolatilityProfile:
@@ -161,17 +170,33 @@ class TestVolatilityProfile:
         assert profile.min_change == pytest.approx(-10.0)
         assert profile.max_change == pytest.approx(5.0)
         assert profile.variance == pytest.approx(np.var([4.0, -5.0, 5.0, -10.0]))
+        assert profile.days == ["2022-03-02", "2022-03-03", "2022-03-04",
+                                "2022-03-05"]
 
     def test_last_close_per_day_wins(self):
-        early = Bar(datetime(2022, 3, 1, 10, 0, tzinfo=timezone.utc),
-                    90.0, 90.0, 90.0, 90.0)
-        late = Bar(datetime(2022, 3, 1, 23, 0, tzinfo=timezone.utc),
-                   100.0, 100.0, 100.0, 100.0)
-        next_day = Bar(datetime(2022, 3, 2, 12, 0, tzinfo=timezone.utc),
-                       108.0, 108.0, 108.0, 108.0)
-        series = TimeSeries("T", [early, late, next_day])
+        ts = np.array(["2022-03-01T10:00", "2022-03-01T23:00",
+                       "2022-03-02T12:00"], dtype="datetime64[us]")
+        closes = [90.0, 100.0, 108.0]
+        series = TimeSeries("T", ts, closes, closes, closes, closes)
         profile = metrics.volatility_profile(series)
         assert profile.pct_changes.tolist() == [pytest.approx(8.0)]
+
+    def test_matches_dict_reference(self):
+        rng = np.random.default_rng(9)
+        minutes = np.sort(rng.integers(0, 10 * 1440, 2000))
+        ts = np.datetime64("2022-03-01T00:00", "us") + \
+            minutes * np.timedelta64(1, "m")
+        closes = rng.uniform(50.0, 150.0, minutes.size)
+        profile = metrics.volatility_profile(
+            TimeSeries("T", ts, closes, closes, closes, closes))
+        daily = {}
+        for stamp, close in zip(ts.tolist(), closes.tolist()):
+            daily[stamp.date()] = close
+        days = sorted(daily)
+        last = np.array([daily[day] for day in days])
+        assert profile.days == [day.isoformat() for day in days[1:]]
+        np.testing.assert_array_equal(profile.pct_changes,
+                                      (last[1:] / last[:-1] - 1.0) * 100.0)
 
     def test_single_day_errors(self):
         with pytest.raises(DataError):
