@@ -4,7 +4,8 @@ A checkpoint is a JSON document with a versioned header, the training
 config, the fitted scaler (decimal text, 17 significant digits), the full
 loss history, the RNG state, both Adam states, and every named parameter
 block as base64-encoded little-endian float64 bytes. Serialization is
-byte-deterministic for identical runs (sorted keys, fixed separators).
+byte-deterministic for identical runs (sorted keys, fixed separators)
+and atomic: a failed save leaves the previous file in place.
 
 Version 2 stores the generator's LSTM as the single stacked block
 `gen.lstm.W` (see nn.LstmCell); version 1 files, with eight per-gate
@@ -16,6 +17,9 @@ from __future__ import annotations
 import base64
 import dataclasses
 import json
+import os
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 
@@ -83,6 +87,26 @@ def _unsanitize(obj):
     return obj
 
 
+@contextmanager
+def atomic_write(path):
+    """Open `path` for writing text through a temporary file beside it.
+
+    The file replaces `path` (os.replace) only when the block completes;
+    if it raises, `path` keeps its old content and the temporary file is
+    removed. This holds against a failed or killed process, not against
+    power loss (nothing is fsynced).
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save(path, model: TrainedModel) -> None:
     doc = {
         "format": FORMAT,
@@ -102,7 +126,7 @@ def save(path, model: TrainedModel) -> None:
         "adam_g": _encode_adam(model.adam_g),
         "adam_d": _encode_adam(model.adam_d),
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
         fh.write("\n")
 
@@ -123,7 +147,7 @@ def _model_from(doc: dict) -> TrainedModel:
     if set(cfg) != CONFIG_KEYS:
         raise DataError(f"config keys {sorted(cfg)} do not match "
                         f"{sorted(CONFIG_KEYS)}")
-    config = TrainConfig(**{**cfg, "disc_layers": tuple(cfg["disc_layers"])})
+    config = TrainConfig(**cfg)
     scaler = ScalerParams(mean=float(doc["scaler"]["mean"]),
                           stddev=float(doc["scaler"]["stddev"]),
                           n_fitted=int(doc["scaler"]["n_fitted"]))

@@ -36,7 +36,10 @@ class _Parser(argparse.ArgumentParser):
 
 def _default_seed() -> int:
     env = os.environ.get("TSGAN_SEED")
-    return int(env) if env else 0
+    try:
+        return int(env) if env else 0
+    except ValueError:
+        raise DataError(f"TSGAN_SEED={env!r} is not an integer") from None
 
 
 def _build_parser() -> _Parser:
@@ -162,7 +165,7 @@ def cmd_train(args) -> int:
         "scaler": {"mean": repr(scaler.mean), "stddev": repr(scaler.stddev),
                    "n_fitted": scaler.n_fitted},
     }
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as fh:
+    with checkpoint.atomic_write(out_dir / "manifest.json") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
         fh.write("\n")
     print(f"wrote {out_dir}/checkpoint.json, losses.csv, manifest.json, rejects.csv")
@@ -282,7 +285,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing, unreadable or directory path
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -116,7 +116,8 @@ def load_csv(path, asset_id: str = "") -> LoadResult:
     the rejects report, never dropped silently.
     """
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
+        # a short row reads its missing fields as "", rejected below
+        reader = csv.DictReader(fh, restval="")
         header = reader.fieldnames or []
         for col in ("timestamp", "close"):
             if col not in header:

@@ -13,6 +13,7 @@ are bit-reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -45,9 +46,16 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("noise_dim", "condition_dim", "batch_size", "epochs",
+                     "hidden_size", "seed"):
+            _check_type(name, getattr(self, name), Integral)
+        for name in ("lr", "beta1", "beta2", "clip_norm"):
+            _check_type(name, getattr(self, name), Real)
+        for name in ("noise_dim", "condition_dim", "batch_size", "epochs",
                      "lr", "hidden_size"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise DataError(f"TrainConfig.{name} must be positive")
+        if self.seed < 0:
+            raise DataError("TrainConfig.seed must be >= 0")
         for name in ("beta1", "beta2"):
             if not 0 <= getattr(self, name) < 1:
                 raise DataError(f"TrainConfig.{name} must be in [0, 1)")
@@ -55,9 +63,19 @@ class TrainConfig:
             raise DataError("TrainConfig.clip_norm must be >= 0 (0: no clipping)")
         if self.init_scheme not in INIT_SCHEMES:
             raise DataError(f"TrainConfig.init_scheme must be one of {INIT_SCHEMES}")
+        for width in self.disc_layers:
+            _check_type("disc_layers width", width, Integral)
+            if width <= 0:
+                raise DataError("TrainConfig.disc_layers widths must be positive")
         self.disc_layers = tuple(int(w) for w in self.disc_layers)
-        if not all(w > 0 for w in self.disc_layers):
-            raise DataError("TrainConfig.disc_layers widths must be positive")
+
+
+def _check_type(name: str, value, kind) -> None:
+    """Integral or Real, where a bool counts as neither."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise DataError(f"TrainConfig.{name} must be "
+                        f"{'an integer' if kind is Integral else 'a number'}, "
+                        f"not {value!r}")
 
 
 @dataclass
@@ -93,7 +111,8 @@ class Generator:
     def forward(self, conditions: np.ndarray, z: np.ndarray, keep_cache=True):
         """Generate one scalar per row of `conditions` using noise rows `z`.
 
-        Returns (values (k,), cache or None).
+        Returns (values (k,), cache or None). keep_cache=False runs the
+        LSTM forward-only, on one step of gate and cell buffers.
         """
         conditions = np.atleast_2d(np.asarray(conditions, dtype=np.float64))
         k, d = conditions.shape
@@ -102,7 +121,7 @@ class Generator:
         xs[:, :, 1:] = z
         state, lstm_cache = lstm_forward(
             self.lstm, xs, LstmState.zeros(self.lstm.hidden_size, k),
-            self.workspace)
+            self.workspace, keep_cache)
         out, head_cache = dense_forward(self.head, state.z)
         xhat = out[:, 0]
         if not np.all(np.isfinite(xhat)):

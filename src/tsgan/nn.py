@@ -9,12 +9,14 @@ The LSTM cell carries no bias terms and keeps its four gates in one
 stacked weight matrix W (4h, h + in), so a step is the single matmul
 W @ [z_prev; x_t] into a gate-major (4h, k) block. Trajectories live in an
 LstmWorkspace that is reused across calls of one shape; a forward cache
-is valid until the next forward on the same workspace.
+is valid until the next forward on the same workspace. A forward-only
+pass, which keeps no cache, holds one step of gates and cell states.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, cycle
 
 import numpy as np
 
@@ -187,15 +189,20 @@ class LstmWorkspace:
     """Trajectory buffers for lstm_forward and lstm_backward.
 
     Buffers are kept between calls and reallocated only when the shape
-    changes, so a steady training loop touches no fresh memory. Every
-    forward bumps `generation`; a cache is valid only while it matches.
+    or the mode (kept or forward-only) changes, so a steady training loop
+    touches no fresh memory. Every forward bumps `generation`; a cache is
+    valid only while it matches.
     Layout is time-major and gate-major with the batch along the last
     axis, so each step reads and writes contiguous (rows, k) blocks:
 
         S  (T+1, h+in, k)  S[t] = [z_{t-1}; x_t], S[T, :h] = final z
-        P  (T, 4h, k)      gate activations f, i, o (sigmoid), c (tanh)
-        C  (T+1, h, k)     C[t] = c_{t-1}, C[T] = final c
-        TC (T, h, k)       tanh(c_t)
+        P  (D, 4h, k)      gate activations f, i, o (sigmoid), c (tanh)
+        C  (D+1, h, k)     C[t] = c_{t-1}, C[T] = final c
+        TC (D, h, k)       tanh(c_t)
+
+    D is T for a pass that keeps its cache. A forward-only pass keeps one
+    step: D = 1, and step t reads c_{t-1} from C[t % 2] and writes c_t to
+    C[(t+1) % 2]. S keeps all T+1 slabs in both, as it holds the inputs.
     """
 
     def __init__(self):
@@ -203,14 +210,16 @@ class LstmWorkspace:
         self._forward_shape = None
         self._backward_shape = None
 
-    def forward_buffers(self, steps: int, k: int, hidden: int, n_in: int):
-        shape = (steps, k, hidden, n_in)
+    def forward_buffers(self, steps: int, k: int, hidden: int, n_in: int,
+                        keep_cache: bool):
+        shape = (steps, k, hidden, n_in, keep_cache)
         if shape != self._forward_shape:
             self._forward_shape = shape
+            depth = steps if keep_cache else 1
             self.S = np.empty((steps + 1, hidden + n_in, k))
-            self.P = np.empty((steps, 4 * hidden, k))
-            self.C = np.empty((steps + 1, hidden, k))
-            self.TC = np.empty((steps, hidden, k))
+            self.P = np.empty((depth, 4 * hidden, k))
+            self.C = np.empty((depth + 1, hidden, k))
+            self.TC = np.empty((depth, hidden, k))
             self._ig = np.empty((hidden, k))
         self.generation += 1
         return self.S, self.P, self.C, self.TC, self._ig
@@ -230,7 +239,7 @@ class LstmWorkspace:
 
 
 def lstm_forward(cell: LstmCell, xs, init: LstmState,
-                 workspace: LstmWorkspace | None = None):
+                 workspace: LstmWorkspace | None = None, keep_cache=True):
     """Run the cell over xs (T, k, in) from `init` (c and z of (k, h)).
 
     Each step is
@@ -243,6 +252,8 @@ def lstm_forward(cell: LstmCell, xs, init: LstmState,
     Returns (final LstmState as fresh arrays, cache for lstm_backward).
     The trajectory stays in `workspace` (a private one when None), so the
     cache is valid only until the next forward on the same workspace.
+    With keep_cache=False the pass is forward-only: the workspace keeps
+    one step of gates and cell states instead of T, and the cache is None.
     """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 3 or xs.shape[0] == 0:
@@ -255,14 +266,17 @@ def lstm_forward(cell: LstmCell, xs, init: LstmState,
     if init.z.shape != (k, h) or init.c.shape != (k, h):
         raise NumericError(f"initial LSTM state must be ({k}, {h})")
     ws = LstmWorkspace() if workspace is None else workspace
-    S, P, C, TC, ig = ws.forward_buffers(T, k, h, n_in)
+    S, P, C, TC, ig = ws.forward_buffers(T, k, h, n_in, keep_cache)
     S[:T, h:] = xs.transpose(0, 2, 1)
     S[0, :h] = init.z.T
     C[0] = init.c.T
 
+    # step t uses P[t % D], TC[t % D] and C[t % (D+1)] -> C[(t+1) % (D+1)]
+    # (see LstmWorkspace): the cycles wrap only in a forward-only pass
     W = cell.W
-    for p, gates, s, z, c_prev, c, tc in zip(P, P.reshape(T, 4, h, k), S,
-                                             S[1:, :h], C, C[1:], TC):
+    for p, gates, s, z, c_prev, c, tc in zip(
+            cycle(P), cycle(P.reshape(-1, 4, h, k)), S, S[1:, :h], cycle(C),
+            cycle(chain(C[1:], C[:1])), cycle(TC)):
         np.matmul(W, s, out=p)
         f, i, o, g = gates
         fio = gates[:3]
@@ -273,9 +287,11 @@ def lstm_forward(cell: LstmCell, xs, init: LstmState,
         c += ig
         np.tanh(c, out=tc)
         np.multiply(tc, o, out=z)
-    state = LstmState(c=C[T].T.copy(), z=S[T, :h].T.copy())
+    state = LstmState(c=C[T % len(C)].T.copy(), z=S[T, :h].T.copy())
     if not (np.all(np.isfinite(state.c)) and np.all(np.isfinite(state.z))):
         raise NumericError("non-finite LSTM state in forward pass")
+    if not keep_cache:
+        return state, None
     cache = {"xs": xs, "workspace": ws, "generation": ws.generation,
              "start": 0}
     return state, cache

@@ -99,15 +99,22 @@ class TestTrain:
         '{"init_scheme": "nope"}', '{"beta1": 1.5}', '{"beta1": -0.1}',
         '{"beta2": 1.0}', '{"clip_norm": -1}', '{"clip_norm": NaN}',
         '{"disc_layers": [64, 0]}', '{"disc_layers": ["wide"]}',
-        '{"no_such_field": 1}'])
+        '{"no_such_field": 1}', '{"epochs": 1.5}', '{"seed": "x"}',
+        '{"seed": -1}', '{"batch_size": true}', '{"hidden_size": 8.0}',
+        '{"noise_dim": "8"}', '{"disc_layers": [64.5]}',
+        '{"disc_layers": [true]}', '{"disc_layers": 64}', '{"lr": "0.1"}',
+        '{"beta1": false}', '{"clip_norm": null}'])
     def test_bad_config_exit_2(self, price_csv, tmp_path, capsys, text):
         cfg = tmp_path / "cfg.json"
         cfg.write_bytes(text.encode("utf-8", "surrogateescape"))
-        rc = main(train_args(price_csv, tmp_path / "run", config=cfg))
+        # no flags, which would override the fields under test
+        rc = main(["train", "--input", str(price_csv), "--out",
+                   str(tmp_path / "run"), "--config", str(cfg)])
         err = capsys.readouterr().err
         assert rc == 2
         assert "Traceback" not in err
         assert err.startswith("data error:")
+        assert "config" in err.lower()
 
     def test_zero_clip_norm_still_trains(self, price_csv, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -116,6 +123,30 @@ class TestTrain:
         assert main(train_args(price_csv, out, config=cfg)) == 0
         assert json.loads((out / "manifest.json").read_text())[
             "config"]["clip_norm"] == 0
+
+
+class TestDirectoryPaths:
+    """A directory where a file is expected: exit 2, no traceback."""
+
+    def _run(self, argv, capsys):
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "Traceback" not in err
+        assert err.startswith("data error:")
+
+    def test_input_is_directory(self, tmp_path, capsys):
+        self._run(["analyze", "--input", str(tmp_path),
+                   "--out", str(tmp_path / "v.csv")], capsys)
+
+    def test_config_is_directory(self, price_csv, tmp_path, capsys):
+        cfg = tmp_path / "cfg"
+        cfg.mkdir()
+        self._run(train_args(price_csv, tmp_path / "run", config=cfg), capsys)
+
+    def test_checkpoint_is_directory(self, price_csv, tmp_path, capsys):
+        self._run(["generate", "--checkpoint", str(tmp_path), "--input",
+                   str(price_csv), "--out", str(tmp_path / "g.csv")], capsys)
 
 
 class TestGenerate:
@@ -338,6 +369,16 @@ class TestAnalyze:
         p.write_text("".join(lines))
         rc = main(["analyze", "--input", str(p), "--out", str(tmp_path / "v.csv")])
         assert rc == 2
+
+    def test_short_row_rejected(self, tmp_path, capsys):
+        p = tmp_path / "short.csv"
+        lines = ["close,timestamp\n"]
+        lines += [f"{100 + i},{1647871200 + 3600 * i}\n" for i in range(60)]
+        lines.insert(5, "1.6\n")
+        p.write_text("".join(lines))
+        rc = main(["analyze", "--input", str(p), "--out", str(tmp_path / "v.csv")])
+        assert rc == 0
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_out_of_range_epoch_rows_rejected(self, tmp_path, capsys):
         p = tmp_path / "epoch.csv"

@@ -108,6 +108,25 @@ class TestLoadCsv:
         assert len(result.series) == 1
         assert [r.row for r in result.rejects] == [3, 4]
 
+    def test_short_rows_rejected(self, tmp_path):
+        # fields missing at the end of a row: the timestamp after the
+        # close, then the close after the timestamp and open/high/low
+        p = tmp_path / "a.csv"
+        p.write_text("close,timestamp\n1.5,2022-03-21T14:00:00Z\n1.6\n"
+                     "1.7,2022-03-21T14:02:00Z\n")
+        result = data.load_csv(p)
+        assert result.series.close.tolist() == [1.5, 1.7]
+        assert [r.row for r in result.rejects] == [3]
+        assert "timestamp" in result.rejects[0].reason
+        p = write_csv(tmp_path / "b.csv", [
+            row("2022-03-21T14:00:00Z", 1, 2, 1, 1.5),
+            "2022-03-21T14:01:00Z,1,2,1\n",
+        ])
+        result = data.load_csv(p)
+        assert result.series.close.tolist() == [1.5]
+        assert [r.row for r in result.rejects] == [3]
+        assert result.rejects[0].reason
+
     def test_close_only_schema(self, tmp_path):
         p = tmp_path / "a.csv"
         p.write_text("timestamp,close\n2022-03-21T14:00:00Z,1.5\n")

@@ -81,6 +81,18 @@ class TestGenerator:
         fresh = gen.backward(second, np.ones(2))
         assert set(fresh) == set(gen.params())
 
+    @pytest.mark.parametrize("k", [1, 64, 1024])
+    def test_forward_only_equals_kept_pass(self, k):
+        # the default shape (60 steps, 8 noise inputs, h = 64); 1024 rows
+        # is synthesize_series' chunk
+        gen = Generator(TrainConfig(), np.random.default_rng(11))
+        rng = np.random.default_rng(12)
+        cond, z = rng.standard_normal((k, 60)), rng.standard_normal((k, 8))
+        kept, cache = gen.forward(cond, z)
+        only, none = gen.forward(cond, z, keep_cache=False)
+        assert cache is not None and none is None
+        np.testing.assert_array_equal(only, kept)
+
     def test_outputs_survive_later_passes(self):
         gen = Generator(toy_config(), np.random.default_rng(9))
         rng = np.random.default_rng(10)
@@ -305,6 +317,26 @@ class TestCheckpointRoundTrip:
         checkpoint.save(tmp_path / "a.json", a)
         checkpoint.save(tmp_path / "b.json", b)
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    def test_failed_save_keeps_previous_checkpoint(self, tmp_path,
+                                                     monkeypatch):
+        model = train(toy_config(epochs=1, seed=24), toy_pairs(seed=24),
+                      toy_scaler())
+        path = tmp_path / "ckpt.json"
+        checkpoint.save(path, model)
+        before = path.read_bytes()
+
+        def dump_then_fail(doc, fh, **kw):  # a disk filling up mid-write
+            fh.write('{"format":')
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(checkpoint.json, "dump", dump_then_fail)
+        with pytest.raises(OSError):
+            checkpoint.save(path, model)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["ckpt.json"]
+        monkeypatch.undo()
+        assert checkpoint.load(path).epoch == model.epoch
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "x.json"
