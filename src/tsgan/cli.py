@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import dataclasses
 import json
 import os
@@ -25,6 +26,33 @@ from .gan import TrainConfig, synthesize_series, train
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 EXIT_USAGE = 4
+# heap blocks of this many bytes and more get a mapping of their own
+MMAP_THRESHOLD = 2 << 20
+# glibc's mallopt parameter numbers (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _fix_mmap_threshold() -> None:
+    """Serve blocks of MMAP_THRESHOLD bytes and more from their own
+    mappings, returned to the system when freed.
+
+    By default glibc raises its mmap threshold to the size of every mapped
+    block it frees (up to 32 MiB). After the first training command, the
+    multi-MB trajectory buffers are then carved from the main heap, whose
+    free space is trimmed only past twice that threshold. A process that
+    runs several commands keeps tens of MB of holes there, laid out by the
+    exact order of every earlier allocation, and its peak RSS jumps between
+    levels ~20 MB apart from one run to the next. Fixed thresholds keep the
+    heap to small blocks. A no-op where the C library has no mallopt.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, 2 * MMAP_THRESHOLD)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -277,6 +305,7 @@ COMMANDS = {"train": cmd_train, "generate": cmd_generate,
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    _fix_mmap_threshold()
     try:
         return COMMANDS[args.command](args)
     except DataError as exc:

@@ -107,6 +107,19 @@ def _parse_timestamp(raw: str, fmt: str | None) -> tuple[int, str]:
     return (dt - _EPOCH) // _MICROSECOND, "rfc3339"
 
 
+def _price_error(row: dict, have_ohlc: bool) -> str:
+    """Why a row's prices were refused, naming the first bad field in the
+    order load_csv reads them."""
+    for col in ("close", "open", "high", "low") if have_ohlc else ("close",):
+        try:
+            value = float(row[col])
+        except ValueError:
+            return f"{col} {row[col]!r} is not a number"
+        if not math.isfinite(value):
+            return f"{col} {row[col]!r} is not finite"
+    raise AssertionError("_price_error called on a row with valid prices")
+
+
 def load_csv(path, asset_id: str = "") -> LoadResult:
     """Load a `timestamp,open,high,low,close` CSV into an ascending-time
     TimeSeries.
@@ -132,20 +145,24 @@ def load_csv(path, asset_id: str = "") -> LoadResult:
             n_rows += 1
             try:
                 ts, detected = _parse_timestamp(row["timestamp"], ts_format)
-                ts_format = ts_format or detected
+            except (ValueError, OverflowError) as exc:
+                rejects.append(Reject(row_no, str(exc)))
+                continue
+            ts_format = ts_format or detected
+            try:
                 close = float(row["close"])
                 if not math.isfinite(close):
-                    raise ValueError(f"close {row['close']!r} is not finite")
+                    raise ValueError
                 if have_ohlc:
                     o = float(row["open"])
                     h = float(row["high"])
                     lo = float(row["low"])
                     if not all(math.isfinite(v) for v in (o, h, lo)):
-                        raise ValueError("non-finite OHLC value")
+                        raise ValueError
                 else:
                     o = h = lo = close
-            except (ValueError, TypeError, KeyError, OverflowError) as exc:
-                rejects.append(Reject(row_no, str(exc)))
+            except ValueError:
+                rejects.append(Reject(row_no, _price_error(row, have_ohlc)))
                 continue
             stamps.append(ts)
             opens.append(o)

@@ -22,11 +22,12 @@ from .data import PairSet
 from .errors import DataError, NumericError
 from .nn import (INIT_SCHEMES, DenseLayer, LstmCell, LstmState,
                  LstmWorkspace, clip_global_norm, dense_backward,
-                 dense_forward, lstm_backward, lstm_cache_rows, lstm_forward,
-                 sigmoid)
-from .optim import AdamState, adam_step, bce_with_logits
+                 dense_forward, lstm_backward, lstm_cache_rows, lstm_forward)
+from .optim import AdamState, adam_step, bce_with_logits, bce_with_logits_grad
 
 LN2 = float(np.log(2.0))
+# conditioned synthesis runs the generator over this many windows a pass
+SYNTH_CHUNK = 1024
 
 
 @dataclass
@@ -218,8 +219,8 @@ def train_discriminator_step(disc: Discriminator, gen: Generator,
     loss = 0.5 * (bce_with_logits(logits_real, 1.0)
                   + bce_with_logits(logits_fake, 0.0))
 
-    d_real = 0.5 * (sigmoid(logits_real) - 1.0) / k
-    d_fake = 0.5 * sigmoid(logits_fake) / k
+    d_real = 0.5 * bce_with_logits_grad(logits_real, 1.0) / k
+    d_fake = 0.5 * bce_with_logits_grad(logits_fake, 0.0) / k
     _, grads_real = disc.backward(caches_real, d_real)
     _, grads_fake = disc.backward(caches_fake, d_fake)
     grads = {name: grads_real[name] + grads_fake[name] for name in grads_real}
@@ -246,7 +247,7 @@ def train_generator_step(gen: Generator, disc: Discriminator,
     logits, disc_caches = disc.forward(conditions, fake)
     loss = bce_with_logits(logits, 1.0)
 
-    dlogits = (sigmoid(logits) - 1.0) / k
+    dlogits = bce_with_logits_grad(logits, 1.0) / k
     dinput, _ = disc.backward(disc_caches, dlogits)
     grads = gen.backward(gen_cache, dinput[:, -1])
     _clip(grads, clip_norm)
@@ -331,8 +332,7 @@ def train(config: TrainConfig, pairs: PairSet, scaler: scaling.ScalerParams,
 
 def synthesize_series(gen: Generator, scaler: scaling.ScalerParams,
                       real_closes: np.ndarray, condition_dim: int,
-                      mode: str = "conditioned", seed: int = 0,
-                      chunk: int = 1024) -> np.ndarray:
+                      mode: str = "conditioned", seed: int = 0) -> np.ndarray:
     """Generate one value per real target (indices d..N-1) at price scale.
 
     conditioned: every window is the real history (one-step, teacher-forced).
@@ -346,24 +346,45 @@ def synthesize_series(gen: Generator, scaler: scaling.ScalerParams,
         raise DataError(f"series of length {n} too short for window d={d}")
     normalized = scaling.transform(real_closes, scaler)
     rng = np.random.default_rng(seed)
+    m = n - d
 
     if mode == "conditioned":
-        out = np.empty(n - d)
-        for start in range(0, n - d, chunk):
-            stop = min(start + chunk, n - d)
+        out = np.empty(m)
+        for start in range(0, m, SYNTH_CHUNK):
+            stop = min(start + SYNTH_CHUNK, m)
             windows = np.lib.stride_tricks.sliding_window_view(
                 normalized, d)[start:stop]
             z = rng.standard_normal((stop - start, gen.noise_dim))
             out[start:stop], _ = gen.forward(windows, z, keep_cache=False)
     elif mode == "recursive":
-        buf = list(normalized[:d])
-        out = np.empty(n - d)
-        for t in range(n - d):
-            window = np.array(buf[-d:])[None, :]
-            z = rng.standard_normal((1, gen.noise_dim))
-            value, _ = gen.forward(window, z, keep_cache=False)
-            out[t] = value[0]
-            buf.append(out[t])
+        # Window w is buf[w : w+d]: the real warm-up values, then each
+        # generated value in turn. Its step j runs at tick w+j, so at tick
+        # t every window in flight (w = t-d+1 .. t) reads buf[t], and the
+        # d windows step together as the d rows of one LSTM pass. Window w
+        # starts at tick w on row w % d, which held window w-d until the
+        # tick before, and finishes at tick w+d-1, one tick before its
+        # value buf[w+d] is first read. Rows whose window has not started
+        # or has finished step on harmlessly.
+        buf = np.empty(n)
+        buf[:d] = normalized[:d]
+        zs = rng.standard_normal((m, gen.noise_dim))  # as m (1, l) draws
+        xs = np.zeros((1, d, 1 + gen.noise_dim))
+        state = LstmState.zeros(gen.lstm.hidden_size, d)
+        for tick in range(m + d - 1):
+            if tick < m:
+                row = tick % d
+                state.c[row] = 0.0
+                state.z[row] = 0.0
+                xs[0, row, 1:] = zs[tick]
+            xs[0, :, 0] = buf[tick]
+            state, _ = lstm_forward(gen.lstm, xs, state, gen.workspace,
+                                    keep_cache=False)
+            if tick >= d - 1:
+                value, _ = dense_forward(gen.head, state.z[(tick + 1) % d])
+                if not np.isfinite(value[0]):
+                    raise NumericError("generator produced non-finite output")
+                buf[tick + 1] = value[0]
+        out = buf[d:]
     else:
         raise DataError(f"unknown synthesis mode {mode!r}")
     return scaling.inverse_transform(out, scaler)

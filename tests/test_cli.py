@@ -1,5 +1,8 @@
 import base64
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tsgan
 from tsgan.cli import main
 
 
@@ -192,6 +196,36 @@ class TestGenerate:
         assert got == [datetime.fromtimestamp(t, tz=timezone.utc).isoformat()
                        for t in sorted(stamps)[8:]]
 
+    def test_recursive_mode(self, price_csv, run_dir, tmp_path):
+        ckpt = str(run_dir / "checkpoint.json")
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        for out_csv in (a, b):
+            assert main(["generate", "--checkpoint", ckpt, "--input",
+                         str(price_csv), "--out", str(out_csv),
+                         "--mode", "recursive", "--seed", "3"]) == 0
+        rows = a.read_text().splitlines()
+        assert rows[0] == "timestamp,real_close,generated_close"
+        assert len(rows) - 1 == 120 - 8
+        closes = [line.split(",")[4] for line in
+                  price_csv.read_text().splitlines()[1:]]
+        assert [line.split(",")[1] for line in rows[1:]] == closes[8:]
+        assert a.read_bytes() == b.read_bytes()
+
+    def test_recursive_non_finite_checkpoint_exit_3(self, price_csv, run_dir,
+                                                    tmp_path, capsys):
+        doc = json.loads((run_dir / "checkpoint.json").read_text())
+        doc["params"]["gen.head.bias"] = _block((1,), np.inf)
+        bad = tmp_path / "inf.json"
+        bad.write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = main(["generate", "--checkpoint", str(bad), "--input",
+                   str(price_csv), "--out", str(tmp_path / "g.csv"),
+                   "--mode", "recursive"])
+        err = capsys.readouterr().err
+        assert rc == 3
+        assert err.startswith("numeric error:")
+        assert "Traceback" not in err
+
     def test_bad_checkpoint_exit_2(self, price_csv, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{}")
@@ -200,9 +234,9 @@ class TestGenerate:
         assert rc == 2
 
 
-def _block(shape):
-    """A checkpoint parameter block of zeros with the given shape."""
-    data = np.zeros(shape, dtype="<f8").tobytes()
+def _block(shape, fill=0.0):
+    """A checkpoint parameter block of the given shape, filled with `fill`."""
+    data = np.full(shape, fill, dtype="<f8").tobytes()
     return {"shape": list(shape), "data": base64.b64encode(data).decode()}
 
 
@@ -442,3 +476,45 @@ class TestSeedEnvFallback:
               "--hidden", "8"])
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["seed"] == 99
+
+
+_MAPPED_BLOCKS_SCRIPT = """
+import ctypes, sys
+import numpy as np
+from tsgan.cli import main
+
+class MallInfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd", "usmblks",
+        "fsmblks", "uordblks", "fordblks", "keepcost")]
+
+try:
+    mallinfo2 = ctypes.CDLL(None).mallinfo2
+except AttributeError:
+    sys.exit(99)
+mallinfo2.restype = MallInfo2
+assert main(["evaluate", "--input", sys.argv[1], "--out", sys.argv[2]]) == 2
+block = 8 << 20
+for _ in range(3):
+    before = mallinfo2().hblkhd
+    arr = np.ones(block // 8)
+    assert mallinfo2().hblkhd - before >= block, "block came from the heap"
+    del arr
+"""
+
+
+def test_main_maps_large_blocks(tmp_path):
+    """After any command, a multi-MB array gets a mapping of its own every
+    time: by default glibc raises its threshold past a freed block's size,
+    and the next block of that size comes from the main heap. Run in a
+    fresh interpreter, whose heap holds no free block that large."""
+    src = str(Path(tsgan.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", _MAPPED_BLOCKS_SCRIPT,
+         str(tmp_path / "missing.csv"), str(tmp_path / "metrics.json")],
+        env=env, capture_output=True, text=True, timeout=120)
+    if proc.returncode == 99:
+        pytest.skip("needs glibc's mallinfo2")
+    assert proc.returncode == 0, proc.stderr

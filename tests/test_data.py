@@ -125,7 +125,24 @@ class TestLoadCsv:
         result = data.load_csv(p)
         assert result.series.close.tolist() == [1.5]
         assert [r.row for r in result.rejects] == [3]
-        assert result.rejects[0].reason
+        assert result.rejects[0].reason == "close '' is not a number"
+
+    @pytest.mark.parametrize("fields, reason", [
+        (("x", 2, 1, 1.5), "open 'x' is not a number"),
+        (("", 2, 1, 1.5), "open '' is not a number"),
+        ((1, "inf", 1, 1.5), "high 'inf' is not finite"),
+        ((1, 2, "-inf", 1.5), "low '-inf' is not finite"),
+        ((1, 2, "nan", "inf"), "close 'inf' is not finite"),
+    ])
+    def test_bad_price_reason_names_field(self, tmp_path, fields, reason):
+        # the first bad field in reading order (close, open, high, low)
+        p = write_csv(tmp_path / "a.csv", [
+            row("2022-03-21T14:00:00Z", 1, 2, 1, 1.5),
+            row("2022-03-21T14:01:00Z", *fields),
+        ])
+        result = data.load_csv(p)
+        assert result.series.close.tolist() == [1.5]
+        assert [(r.row, r.reason) for r in result.rejects] == [(3, reason)]
 
     def test_close_only_schema(self, tmp_path):
         p = tmp_path / "a.csv"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tsgan import checkpoint, data, scaling
-from tsgan.errors import DataError
+from tsgan.errors import DataError, NumericError
 from tsgan.gan import (Discriminator, Generator, TrainConfig, synthesize_series,
                        train, train_discriminator_step, train_generator_step)
 from tsgan.optim import AdamState
@@ -30,6 +30,30 @@ def toy_scaler():
 
 def params_checksum(params):
     return {k: v.copy() for k, v in params.items()}
+
+
+def recursive_reference(gen, scaler, real_closes, d, seed):
+    """Recursive synthesis one window at a time: a fresh d-step generator
+    pass per value, over the last d values of a buffer that starts with
+    the real warm-up window and grows by each generated value."""
+    normalized = scaling.transform(np.asarray(real_closes, dtype=np.float64),
+                                   scaler)
+    rng = np.random.default_rng(seed)
+    buf = list(normalized[:d])
+    out = np.empty(len(normalized) - d)
+    for t in range(out.shape[0]):
+        window = np.array(buf[-d:])[None, :]
+        z = rng.standard_normal((1, gen.noise_dim))
+        value, _ = gen.forward(window, z, keep_cache=False)
+        out[t] = value[0]
+        buf.append(out[t])
+    return scaling.inverse_transform(out, scaler)
+
+
+def _recursive_cases():
+    """(d, n - d) for d in 1, 4, 60 and n - d in 1, d-1, d, 2d+3 (>= 1)."""
+    return [(d, m) for d in (1, 4, 60)
+            for m in sorted({1, d - 1, d, 2 * d + 3}) if m >= 1]
 
 
 class TestGenerator:
@@ -266,6 +290,28 @@ class TestSynthesize:
                                 condition_dim=4, mode="recursive")
         assert out.shape == (26,)
         assert np.all(np.isfinite(out))
+
+    @pytest.mark.parametrize("d, m", _recursive_cases())
+    def test_recursive_matches_per_window_reference(self, d, m):
+        # the wavefront steps d windows as one d-row pass, so its products
+        # round like a GEMM rather than a k=1 gemv: equal to ~1e-16, while
+        # a tick or noise row off by one moves values by O(1)
+        gen = Generator(TrainConfig(condition_dim=d), np.random.default_rng(d))
+        closes = 100 + np.cumsum(np.random.default_rng(m).standard_normal(d + m))
+        scaler = scaling.fit(closes)
+        out = synthesize_series(gen, scaler, closes, condition_dim=d,
+                                mode="recursive", seed=m)
+        ref = recursive_reference(gen, scaler, closes, d, seed=m)
+        assert out.shape == (m,)
+        np.testing.assert_allclose(out, ref, rtol=1e-10, atol=0)
+
+    def test_recursive_non_finite_head_raises(self):
+        gen = Generator(toy_config(), np.random.default_rng(21))
+        gen.head.bias[:] = np.inf
+        closes = np.random.default_rng(22).uniform(90, 110, 30)
+        with pytest.raises(NumericError, match="non-finite"):
+            synthesize_series(gen, scaling.fit(closes), closes,
+                              condition_dim=4, mode="recursive")
 
     def test_seed_determinism(self):
         config = toy_config()
