@@ -62,6 +62,17 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _at_least_one(text: str) -> int:
+    """argparse type for counts: a bad value is a usage error (exit 4)."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
+
+
 def _default_seed() -> int:
     env = os.environ.get("TSGAN_SEED")
     try:
@@ -107,11 +118,11 @@ def _build_parser() -> _Parser:
     pl = sub.add_parser("plot", help="SVG plots from losses.csv or generated.csv")
     pl.add_argument("--input", required=True)
     pl.add_argument("--out", required=True)
-    pl.add_argument("--window", type=int, default=1000)
+    pl.add_argument("--window", type=_at_least_one, default=1000)
 
     gc = sub.add_parser("gradcheck", help="finite-difference gradient suite")
     gc.add_argument("--seed", type=int)
-    gc.add_argument("--trials", type=int, default=100)
+    gc.add_argument("--trials", type=_at_least_one, default=100)
 
     an = sub.add_parser("analyze", help="daily volatility profile of a CSV")
     an.add_argument("--input", required=True)
@@ -219,19 +230,46 @@ def cmd_generate(args) -> int:
     return 0
 
 
+_GENERATED_COLUMNS = ("real_close", "generated_close")
+
+
 def _read_generated_csv(path):
+    """The two close columns as float64 arrays. A cell that is empty (a
+    short row reads its missing cells as empty), not a number or not
+    finite is a DataError naming its data row (1 is the first row after
+    the header) and its column."""
     real, fake = [], []
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.DictReader(fh, restval="")
         if reader.fieldnames is None or \
-                not {"real_close", "generated_close"} <= set(reader.fieldnames):
+                not set(_GENERATED_COLUMNS) <= set(reader.fieldnames):
             raise DataError(f"{path} lacks real_close/generated_close columns")
-        for row in reader:
-            real.append(float(row["real_close"]))
-            fake.append(float(row["generated_close"]))
+        try:
+            for row in reader:
+                real.append(float(row["real_close"]))
+                fake.append(float(row["generated_close"]))
+        except ValueError:
+            raise _cell_error(path, len(fake) + 1, row) from None
     if not real:
         raise DataError(f"{path} has no data rows")
-    return np.array(real), np.array(fake)
+    columns = np.array(real), np.array(fake)
+    bad = np.argwhere(~np.isfinite(np.column_stack(columns)))
+    if bad.size:
+        r, q = bad[0]
+        raise DataError(f"{path} data row {r + 1}: {_GENERATED_COLUMNS[q]} "
+                        f"'{columns[q][r]}' is not finite")
+    return columns
+
+
+def _cell_error(path, row_number: int, row: dict) -> DataError:
+    """The error for the first cell of `row` that float() refuses."""
+    for name in _GENERATED_COLUMNS:
+        try:
+            float(row[name])
+        except ValueError:
+            return DataError(f"{path} data row {row_number}: {name} "
+                             f"{row[name]!r} is not a number")
+    raise AssertionError("_cell_error called on a row of numbers")
 
 
 def cmd_evaluate(args) -> int:
@@ -255,7 +293,10 @@ def cmd_plot(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if {"loss_d", "loss_g"} <= set(header):
-        rows = np.genfromtxt(args.input, delimiter=",", names=True)
+        try:
+            rows = np.genfromtxt(args.input, delimiter=",", names=True)
+        except ValueError as exc:  # rows of the wrong width
+            raise DataError(f"{args.input}: {' '.join(str(exc).split())}")
         rows = np.atleast_1d(rows)
         svg = out / "losses.svg"
         svgplot.render_lines([("D", rows["loss_d"]), ("G", rows["loss_g"])],

@@ -94,6 +94,8 @@ class Generator:
     reuse the same trajectory buffers: a cache from `forward` is valid
     only until the next `forward` on this generator, and `backward` on an
     older one raises nn.StaleCacheError. Returned values are fresh arrays.
+    The workspace is float32, so the LSTM computes in float32; the weights
+    and everything downstream of the final state stay float64.
     """
 
     def __init__(self, config: TrainConfig, rng: np.random.Generator):
@@ -102,7 +104,7 @@ class Generator:
                                     rng, config.init_scheme)
         self.head = DenseLayer.create(config.hidden_size, 1, "identity",
                                       rng, config.init_scheme)
-        self.workspace = LstmWorkspace()
+        self.workspace = LstmWorkspace(np.float32)
 
     def params(self) -> dict[str, np.ndarray]:
         return {"gen.lstm.W": self.lstm.W,

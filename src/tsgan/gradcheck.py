@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gan import Discriminator, Generator, TrainConfig
-from .nn import (DenseLayer, LstmCell, LstmState, dense_backward,
-                 dense_forward, lstm_backward, lstm_forward)
+from .nn import (DenseLayer, LstmCell, LstmState, LstmWorkspace,
+                 dense_backward, dense_forward, lstm_backward, lstm_forward)
 from .optim import bce_with_logits, sigmoid
 
 H = 1e-5
@@ -100,13 +100,15 @@ def check_composed(rng: np.random.Generator, trials: int = 100) -> float:
     BCE value: central differences of a loss whose magnitude (~0.7) dwarfs
     the smallest weight sensitivities drown in float64 roundoff, while the
     chain through D into G is identical either way. The BCE gradient itself
-    is finite-difference-checked separately.
+    is finite-difference-checked separately. The generator runs on a
+    float64 workspace: central differences at H = 1e-5 need float64 sums.
     """
     worst = 0.0
     config = TrainConfig(noise_dim=2, condition_dim=4, hidden_size=3,
                          disc_layers=(5, 4), batch_size=2, epochs=1, seed=0)
     for _ in range(trials):
         gen = Generator(config, rng)
+        gen.workspace = LstmWorkspace(np.float64)
         disc = Discriminator(config, rng)
         conditions = rng.standard_normal((2, config.condition_dim))
         z = rng.standard_normal((2, config.noise_dim))

@@ -11,6 +11,8 @@ W @ [z_prev; x_t] into a gate-major (4h, k) block. Trajectories live in an
 LstmWorkspace that is reused across calls of one shape; a forward cache
 is valid until the next forward on the same workspace. A forward-only
 pass, which keeps no cache, holds one step of gates and cell states.
+The workspace's dtype is the dtype the cell computes in (the generator
+uses float32); weights, final states and gradients stay float64.
 """
 
 from __future__ import annotations
@@ -24,22 +26,31 @@ from .errors import NumericError
 
 ACTIVATIONS = ("relu", "sigmoid", "tanh", "identity")
 
-# exp(709) is the largest power of e below the float64 maximum
-_SIGMOID_FLOOR = -709.0
+# per dtype, the clamp that keeps exp(-x) finite and a normal number:
+# exp overflows past 709.78 and leaves the normal range past -708.4 in
+# float64; both happen at +-87.3 and 88.72 in float32
+_SIGMOID_CLAMP = {np.dtype(np.float64): (-709.0, 708.0),
+                  np.dtype(np.float32): (-87.0, 87.0)}
 
 
 def sigmoid(x, out=None):
     """Logistic function 1 / (1 + exp(-x)), the one used everywhere.
 
-    Exactly 0.5 at 0. Inputs are clamped below at -709, where exp(-x) is
-    still finite, so nothing overflows or warns; an input below -709 gives
-    sigmoid(-709) ~ 1.2e-308 instead of a subnormal. With `out` (which may
-    be `x`) the result is written there. A 0-d input returns a float.
+    Exactly 0.5 at 0. A float32 input is computed in float32, anything
+    else in float64. Inputs are clamped to [-709, 708] (float64) or
+    [-87, 87] (float32), where exp(-x) neither overflows nor underflows.
+    Below the floor the result is sigmoid(floor): ~1.6e-38 in float32, a
+    normal number, so float32 raises no floating-point flag at all, and
+    ~1.2e-308 in float64. Above the ceiling it is 1.0, as it already is
+    from about 37 (float64) or 17 (float32) on. With `out` (which may be
+    `x`) the result is written there. A 0-d input returns a float.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = np.asarray(x)
+    if x.dtype not in _SIGMOID_CLAMP:
+        x = x.astype(np.float64)
     if out is None:
         out = np.empty_like(x)
-    np.maximum(x, _SIGMOID_FLOOR, out=out)
+    np.clip(x, *_SIGMOID_CLAMP[x.dtype], out=out)
     np.negative(out, out=out)
     np.exp(out, out=out)
     out += 1.0
@@ -191,7 +202,8 @@ class LstmWorkspace:
     Buffers are kept between calls and reallocated only when the shape
     or the mode (kept or forward-only) changes, so a steady training loop
     touches no fresh memory. Every forward bumps `generation`; a cache is
-    valid only while it matches.
+    valid only while it matches. Every buffer has the workspace's `dtype`,
+    fixed when it is built, and the cell computes in it.
     Layout is time-major and gate-major with the batch along the last
     axis, so each step reads and writes contiguous (rows, k) blocks:
 
@@ -205,7 +217,8 @@ class LstmWorkspace:
     C[(t+1) % 2]. S keeps all T+1 slabs in both, as it holds the inputs.
     """
 
-    def __init__(self):
+    def __init__(self, dtype=np.float64):
+        self.dtype = np.dtype(dtype)
         self.generation = 0
         self._forward_shape = None
         self._backward_shape = None
@@ -216,11 +229,12 @@ class LstmWorkspace:
         if shape != self._forward_shape:
             self._forward_shape = shape
             depth = steps if keep_cache else 1
-            self.S = np.empty((steps + 1, hidden + n_in, k))
-            self.P = np.empty((depth, 4 * hidden, k))
-            self.C = np.empty((depth + 1, hidden, k))
-            self.TC = np.empty((depth, hidden, k))
-            self._ig = np.empty((hidden, k))
+            dt = self.dtype
+            self.S = np.empty((steps + 1, hidden + n_in, k), dt)
+            self.P = np.empty((depth, 4 * hidden, k), dt)
+            self.C = np.empty((depth + 1, hidden, k), dt)
+            self.TC = np.empty((depth, hidden, k), dt)
+            self._ig = np.empty((hidden, k), dt)
         self.generation += 1
         return self.S, self.P, self.C, self.TC, self._ig
 
@@ -228,12 +242,13 @@ class LstmWorkspace:
         shape = (steps, k, hidden, n_in)
         if shape != self._backward_shape:
             self._backward_shape = shape
-            self.dS = np.empty((steps, hidden + n_in, k))
-            self._step = np.empty((6, hidden, k))
-            self._a = np.empty((4 * hidden, k))
-            self._dct = np.empty((hidden, k))
-            self._dc = np.empty((hidden, k))
-            self._dW_t = np.empty((4 * hidden, hidden + n_in))
+            dt = self.dtype
+            self.dS = np.empty((steps, hidden + n_in, k), dt)
+            self._step = np.empty((6, hidden, k), dt)
+            self._a = np.empty((4 * hidden, k), dt)
+            self._dct = np.empty((hidden, k), dt)
+            self._dc = np.empty((hidden, k), dt)
+            self._dW_t = np.empty((4 * hidden, hidden + n_in), dt)
         return (self.dS, self._step, self._a, self._dct, self._dc,
                 self._dW_t)
 
@@ -254,6 +269,8 @@ def lstm_forward(cell: LstmCell, xs, init: LstmState,
     cache is valid only until the next forward on the same workspace.
     With keep_cache=False the pass is forward-only: the workspace keeps
     one step of gates and cell states instead of T, and the cache is None.
+    The pass computes in the workspace's dtype, on one cast of W; the
+    final state is float64 whatever that dtype is.
     """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 3 or xs.shape[0] == 0:
@@ -273,7 +290,7 @@ def lstm_forward(cell: LstmCell, xs, init: LstmState,
 
     # step t uses P[t % D], TC[t % D] and C[t % (D+1)] -> C[(t+1) % (D+1)]
     # (see LstmWorkspace): the cycles wrap only in a forward-only pass
-    W = cell.W
+    W = cell.W.astype(ws.dtype, copy=False)
     for p, gates, s, z, c_prev, c, tc in zip(
             cycle(P), cycle(P.reshape(-1, 4, h, k)), S, S[1:, :h], cycle(C),
             cycle(chain(C[1:], C[:1])), cycle(TC)):
@@ -287,7 +304,10 @@ def lstm_forward(cell: LstmCell, xs, init: LstmState,
         c += ig
         np.tanh(c, out=tc)
         np.multiply(tc, o, out=z)
-    state = LstmState(c=C[T % len(C)].T.copy(), z=S[T, :h].T.copy())
+    # C order: a transposed view's cast keeps Fortran order, and the head's
+    # GEMM would then round a row range differently from the whole
+    state = LstmState(c=C[T % len(C)].T.astype(np.float64, order="C"),
+                      z=S[T, :h].T.astype(np.float64, order="C"))
     if not (np.all(np.isfinite(state.c)) and np.all(np.isfinite(state.z))):
         raise NumericError("non-finite LSTM state in forward pass")
     if not keep_cache:
@@ -308,7 +328,8 @@ def lstm_backward(cell: LstmCell, cache: dict, dz_final, dc_final=None):
     """Backpropagation through time from a gradient on the final state.
 
     dz_final and dc_final are (k, h) over the cache's rows. Returns
-    (dW of W's shape, per-step input gradients dX (T, k, in)). Raises
+    (dW of W's shape, per-step input gradients dX (T, k, in)), both
+    float64; the steps compute in the workspace's dtype. Raises
     StaleCacheError if the workspace has run a forward since `cache`.
     """
     ws = cache["workspace"]
@@ -323,13 +344,13 @@ def lstm_backward(cell: LstmCell, cache: dict, dz_final, dc_final=None):
     k = k_all - lo
     dS, step, a, dct, dc, dW_t = ws.backward_buffers(T, k, h, n_in)
 
-    dz = np.asarray(dz_final).T
+    dz = np.asarray(dz_final, dtype=ws.dtype).T
     dc0 = np.zeros_like(dz) if dc_final is None else np.asarray(dc_final).T
     if dz.shape != (h, k) or dc0.shape != (h, k):
         raise NumericError(f"final-state gradients must be ({k}, {h})")
     dc[...] = dc0
     dW = np.zeros_like(cell.W)
-    WT = cell.W.T
+    WT = cell.W.astype(ws.dtype, copy=False).T
     a4 = a.reshape(4, h, k)
     gates_all = P.reshape(T, 4, h, k_all)[..., lo:]
     f, i, o, g, c_prev, tc = step
@@ -362,7 +383,7 @@ def lstm_backward(cell: LstmCell, cache: dict, dz_final, dc_final=None):
         np.matmul(WT, a, out=dS[t])
         dz = dS[t, :h]
         np.multiply(dct, f, out=dc)
-    dX = dS[:, h:].transpose(0, 2, 1).copy()
+    dX = dS[:, h:].transpose(0, 2, 1).astype(np.float64, order="C")
     return dW, dX
 
 

@@ -76,6 +76,23 @@ class TestTrain:
         assert (out1 / "checkpoint.json").read_bytes() == \
             (out2 / "checkpoint.json").read_bytes()
 
+    def test_float32_reruns_byte_identical(self, price_csv, tmp_path,
+                                           monkeypatch):
+        import tsgan.cli
+        real_train, models = tsgan.cli.train, []
+
+        def recording_train(*args, **kw):
+            models.append(real_train(*args, **kw))
+            return models[-1]
+
+        monkeypatch.setattr(tsgan.cli, "train", recording_train)
+        outs = [tmp_path / "r1", tmp_path / "r2"]
+        for out in outs:
+            assert main(train_args(price_csv, out, epochs=2)) == 0
+        assert [m.generator.workspace.dtype for m in models] == [np.float32] * 2
+        for name in ("checkpoint.json", "losses.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
     def test_missing_input_exit_2(self, tmp_path):
         rc = main(["train", "--input", str(tmp_path / "nope.csv"),
                    "--out", str(tmp_path / "o")])
@@ -326,6 +343,34 @@ class TestEvaluate:
         assert rc == 2
 
 
+    @pytest.mark.parametrize("column", ["real_close", "generated_close"])
+    @pytest.mark.parametrize("cell, reason", [
+        ("abc", "'abc' is not a number"),
+        ("", "'' is not a number"),
+        (None, "'' is not a number"),  # a short row
+        ("nan", "'nan' is not finite"),
+        ("inf", "'inf' is not finite"),
+        ("-inf", "'-inf' is not finite"),
+    ])
+    def test_bad_cell_exit_2(self, tmp_path, capsys, column, cell, reason):
+        rows = [["t0", "100.0", "100.5"], ["t1", "101.0", "100.9"],
+                ["t2", "102.0", "101.7"]]
+        if cell is None:  # a short row ends before generated_close
+            rows[1] = rows[1][:2] if column == "generated_close" else ["t1"]
+        else:
+            rows[1][1 if column == "real_close" else 2] = cell
+        gen_csv = tmp_path / "g.csv"
+        gen_csv.write_text("timestamp,real_close,generated_close\n"
+                           + "".join(",".join(r) + "\n" for r in rows))
+        rc = main(["evaluate", "--input", str(gen_csv),
+                   "--out", str(tmp_path / "m.json")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "Traceback" not in err
+        assert f"data row 2: {column} {reason}" in err
+        assert not (tmp_path / "m.json").exists()
+
+
 class TestPlot:
     def test_losses_svg(self, tmp_path):
         losses = tmp_path / "losses.csv"
@@ -361,6 +406,39 @@ class TestPlot:
         svg = (out / "overlay.svg").read_text()
         assert "<polyline" in svg and "<rect" in svg
 
+    @pytest.mark.parametrize("window", ["0", "-1", "x"])
+    def test_window_below_one_exit_4(self, tmp_path, capsys, window):
+        gen_csv = tmp_path / "g.csv"
+        gen_csv.write_text("timestamp,real_close,generated_close\nt0,1,1\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["plot", "--input", str(gen_csv), "--out",
+                  str(tmp_path / "p"), "--window", window])
+        assert exc.value.code == 4
+        assert "--window" in capsys.readouterr().err
+        assert not (tmp_path / "p").exists()
+
+    @pytest.mark.parametrize("cell", ["abc", "", "nan", "inf"])
+    def test_non_finite_loss_exit_2(self, tmp_path, capsys, cell):
+        losses = tmp_path / "losses.csv"
+        losses.write_text(f"epoch,loss_d,loss_g\n1,0.7,0.7\n2,{cell},0.6\n")
+        out = tmp_path / "plots"
+        rc = main(["plot", "--input", str(losses), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "Traceback" not in err
+        assert "cannot plot D: value" in err and "not finite" in err
+        assert not (out / "losses.svg").exists()
+
+    @pytest.mark.parametrize("row", ["2,0.6", "2,0.6,0.6,0.6"])
+    def test_loss_row_of_wrong_width_exit_2(self, tmp_path, capsys, row):
+        losses = tmp_path / "losses.csv"
+        losses.write_text(f"epoch,loss_d,loss_g\n1,0.7,0.7\n{row}\n")
+        rc = main(["plot", "--input", str(losses), "--out",
+                   str(tmp_path / "plots")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "Traceback" not in err and "Line #3" in err
+
     def test_empty_input_exit_2(self, tmp_path):
         empty = tmp_path / "e.csv"
         empty.write_text("timestamp,real_close,generated_close\n")
@@ -374,6 +452,15 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         assert out.count("PASS") == 3
         assert "max relative error" in out
+
+    @pytest.mark.parametrize("trials", ["0", "-1"])
+    def test_trials_below_one_exit_4(self, capsys, trials):
+        with pytest.raises(SystemExit) as exc:
+            main(["gradcheck", "--trials", trials])
+        assert exc.value.code == 4
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        assert "--trials" in captured.err
 
     def test_corrupted_backward_fails(self, monkeypatch, capsys):
         import tsgan.gradcheck as gc

@@ -7,6 +7,7 @@ from tsgan import checkpoint, data, scaling
 from tsgan.errors import DataError, NumericError
 from tsgan.gan import (Discriminator, Generator, TrainConfig, synthesize_series,
                        train, train_discriminator_step, train_generator_step)
+from tsgan.nn import LstmWorkspace
 from tsgan.optim import AdamState
 
 LN2 = math.log(2.0)
@@ -79,6 +80,7 @@ class TestGenerator:
         from lstm_oracle import lstm_step
         config = toy_config(condition_dim=2)
         gen = Generator(config, np.random.default_rng(6))
+        gen.workspace = LstmWorkspace(np.float64)  # float64 scalar oracle
         cond = np.array([[0.4, -0.3]])
         z = np.array([[0.2, -0.1]])
         out, _ = gen.forward(cond, z)
@@ -116,6 +118,35 @@ class TestGenerator:
         only, none = gen.forward(cond, z, keep_cache=False)
         assert cache is not None and none is None
         np.testing.assert_array_equal(only, kept)
+
+    def test_workspace_is_float32(self):
+        gen = Generator(toy_config(), np.random.default_rng(25))
+        rng = np.random.default_rng(26)
+        out, cache = gen.forward(rng.standard_normal((2, 4)),
+                                 rng.standard_normal((2, 2)))
+        grads = gen.backward(cache, np.ones(2))
+        ws = gen.workspace
+        assert ws.dtype == np.float32
+        assert {a.dtype for a in (ws.S, ws.P, ws.C, ws.TC, ws.dS)} == \
+            {np.dtype(np.float32)}
+        # master weights, outputs and gradients stay float64
+        assert {a.dtype for a in (out, *gen.params().values(),
+                                  *grads.values())} == {np.dtype(np.float64)}
+
+    @pytest.mark.parametrize("k", [1, 64, 1024])
+    def test_float32_forward_agrees_with_float64(self, k):
+        # the default shape; float32 rounding over 60 steps moves outputs
+        # by ~1e-7 of their largest magnitude, so 1e-6 of it is the bound
+        gen = Generator(TrainConfig(), np.random.default_rng(26))
+        rng = np.random.default_rng(27)
+        cond, z = rng.standard_normal((k, 60)), rng.standard_normal((k, 8))
+        single, _ = gen.forward(cond, z)
+        gen.workspace = LstmWorkspace(np.float64)
+        double, _ = gen.forward(cond, z)
+        assert single.dtype == np.float64
+        assert np.max(np.abs(single - double)) <= 1e-6 * np.max(np.abs(double))
+        # and the float32 pass did round differently
+        assert not np.array_equal(single, double)
 
     def test_outputs_survive_later_passes(self):
         gen = Generator(toy_config(), np.random.default_rng(9))
@@ -295,8 +326,10 @@ class TestSynthesize:
     def test_recursive_matches_per_window_reference(self, d, m):
         # the wavefront steps d windows as one d-row pass, so its products
         # round like a GEMM rather than a k=1 gemv: equal to ~1e-16, while
-        # a tick or noise row off by one moves values by O(1)
+        # a tick or noise row off by one moves values by O(1). Both run in
+        # float64, where that rounding is all that separates them.
         gen = Generator(TrainConfig(condition_dim=d), np.random.default_rng(d))
+        gen.workspace = LstmWorkspace(np.float64)
         closes = 100 + np.cumsum(np.random.default_rng(m).standard_normal(d + m))
         scaler = scaling.fit(closes)
         out = synthesize_series(gen, scaler, closes, condition_dim=d,

@@ -39,6 +39,19 @@ class TestActivations:
         assert s[3] == 0.5
         np.testing.assert_array_equal(inplace, s)
 
+    def test_sigmoid_float32_stays_float32_without_warnings(self):
+        # float32 exp overflows past 88.72, so the float64 floor of -709
+        # would overflow here
+        x = np.array([-1e4, -88.0, 0.0, 88.0, 1e4], dtype=np.float32)
+        with np.errstate(all="raise"):
+            s = nn.sigmoid(x)
+            inplace = x.copy()
+            nn.sigmoid(inplace, out=inplace)
+        assert s.dtype == np.float32
+        assert np.all(np.isfinite(s)) and np.all((s > 0) & (s <= 1))
+        assert s[2] == 0.5
+        np.testing.assert_array_equal(inplace, s)
+
     def test_bounds_random(self):
         # ranges kept inside float64 saturation (sigmoid ~|x|<37, tanh ~|x|<19)
         x = np.random.default_rng(1).uniform(-30, 30, 1000)
@@ -309,6 +322,22 @@ class TestLstmBackward:
         dW, dX = nn.lstm_backward(cell, cache, dz)
         np.testing.assert_array_equal(dW2, dW)
         np.testing.assert_array_equal(dX2, dX)
+
+    def test_float32_workspace_returns_float64(self):
+        rng = np.random.default_rng(19)
+        cell = make_cell(9, 16, rng)
+        xs = rng.standard_normal((12, 8, 9))
+        dz = rng.standard_normal((8, 16))
+        ws = nn.LstmWorkspace(np.float32)
+        state, cache = nn.lstm_forward(cell, xs, nn.LstmState.zeros(16, 8), ws)
+        dW, dX = nn.lstm_backward(cell, cache, dz)
+        assert ws.P.dtype == ws.dS.dtype == np.float32
+        for a in (state.c, state.z, dW, dX):
+            assert a.dtype == np.float64 and a.flags.c_contiguous
+        assert cell.W.dtype == np.float64
+        _, cache64 = nn.lstm_forward(cell, xs, nn.LstmState.zeros(16, 8))
+        dW64, dX64 = nn.lstm_backward(cell, cache64, dz)
+        assert rel_error(dW, dW64) < 1e-3 and rel_error(dX, dX64) < 1e-3
 
     def test_stale_cache_raises(self):
         rng = np.random.default_rng(14)
