@@ -21,8 +21,9 @@ from . import scaling
 from .data import PairSet
 from .errors import DataError, NumericError
 from .nn import (INIT_SCHEMES, DenseLayer, LstmCell, LstmState,
-                 LstmWorkspace, clip_global_norm, dense_backward,
-                 dense_forward, lstm_backward, lstm_cache_rows, lstm_forward)
+                 LstmWorkspace, check_lstm_state, clip_global_norm,
+                 dense_backward, dense_forward, lstm_backward,
+                 lstm_cache_rows, lstm_forward, lstm_step)
 from .optim import AdamState, adam_step, bce_with_logits, bce_with_logits_grad
 
 LN2 = float(np.log(2.0))
@@ -141,9 +142,8 @@ class Generator:
         k = conditions.shape[0]
         fake, (lstm_cache, head_cache) = self.forward(
             np.concatenate([conditions, conditions]), z2)
-        xb, pre, post, squeeze = head_cache
-        cache = (lstm_cache_rows(lstm_cache, k),
-                 (xb[k:], pre[k:], post[k:], squeeze))
+        x, pre, post = head_cache
+        cache = (lstm_cache_rows(lstm_cache, k), (x[k:], pre[k:], post[k:]))
         return fake[:k], fake[k:], cache
 
     def backward(self, cache, dxhat: np.ndarray) -> dict[str, np.ndarray]:
@@ -362,30 +362,38 @@ def synthesize_series(gen: Generator, scaler: scaling.ScalerParams,
         # Window w is buf[w : w+d]: the real warm-up values, then each
         # generated value in turn. Its step j runs at tick w+j, so at tick
         # t every window in flight (w = t-d+1 .. t) reads buf[t], and the
-        # d windows step together as the d rows of one LSTM pass. Window w
-        # starts at tick w on row w % d, which held window w-d until the
-        # tick before, and finishes at tick w+d-1, one tick before its
-        # value buf[w+d] is first read. Rows whose window has not started
-        # or has finished step on harmlessly.
+        # d windows step together as the d columns of one lstm_step. Window
+        # w starts at tick w in column w % d, which held window w-d until
+        # the tick before, and finishes at tick w+d-1, one tick before its
+        # value buf[w+d] is first read. Columns whose window has not started
+        # or has finished step on harmlessly. The buffers last the whole
+        # run: the input slab s = [z; condition; noise], two cell slabs.
         buf = np.empty(n)
         buf[:d] = normalized[:d]
         zs = rng.standard_normal((m, gen.noise_dim))  # as m (1, l) draws
-        xs = np.zeros((1, d, 1 + gen.noise_dim))
-        state = LstmState.zeros(gen.lstm.hidden_size, d)
+        h, dt = gen.lstm.hidden_size, gen.workspace.dtype
+        W = gen.lstm.W.astype(dt, copy=False)
+        s = np.zeros((h + 1 + gen.noise_dim, d), dt)
+        z, p = s[:h], np.empty((4 * h, d), dt)
+        c_prev, c = np.zeros((2, h, d), dt)
+        tc, ig = np.empty((2, h, d), dt)
+        head_in = np.empty((1, h))
         for tick in range(m + d - 1):
             if tick < m:
-                row = tick % d
-                state.c[row] = 0.0
-                state.z[row] = 0.0
-                xs[0, row, 1:] = zs[tick]
-            xs[0, :, 0] = buf[tick]
-            state, _ = lstm_forward(gen.lstm, xs, state, gen.workspace,
-                                    keep_cache=False)
+                col = tick % d
+                c_prev[:, col] = 0.0
+                z[:, col] = 0.0
+                s[h + 1:, col] = zs[tick]
+            s[h] = buf[tick]
+            lstm_step(W, s, p, c_prev, c, tc, z, ig)
+            check_lstm_state(c, z)
             if tick >= d - 1:
-                value, _ = dense_forward(gen.head, state.z[(tick + 1) % d])
-                if not np.isfinite(value[0]):
+                head_in[0] = z[:, (tick + 1) % d]
+                value, _ = dense_forward(gen.head, head_in)
+                if not np.isfinite(value[0, 0]):
                     raise NumericError("generator produced non-finite output")
-                buf[tick + 1] = value[0]
+                buf[tick + 1] = value[0, 0]
+            c_prev, c = c, c_prev
         out = buf[d:]
     else:
         raise DataError(f"unknown synthesis mode {mode!r}")

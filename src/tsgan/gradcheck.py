@@ -55,12 +55,12 @@ def check_dense(rng: np.random.Generator, trials: int = 100) -> float:
         layer = DenseLayer(weights=rng.standard_normal((4, 3)),
                            bias=rng.standard_normal(4),
                            activation=activations[trial % 4])
-        x = rng.standard_normal(3)
-        w = rng.standard_normal(4)  # random linear readout as scalar loss
+        x = rng.standard_normal((1, 3))
+        w = rng.standard_normal((1, 4))  # random linear readout as scalar loss
 
         def loss():
             out, _ = dense_forward(layer, x)
-            return float(out @ w)
+            return float(out[0] @ w[0])
 
         out, cache = dense_forward(layer, x)
         dx, grads = dense_backward(layer, cache, w)

@@ -1,16 +1,18 @@
 """Dense layer and LSTM cell with hand-derived forward/backward passes.
 
 No autodiff: every backward pass is the explicit chain rule, checked
-against central finite differences in the test suite. Dense layers accept
-a single vector or a (batch, n) matrix; the LSTM takes (T, k, in) batches.
-Gradients are summed over the batch dimension.
+against central finite differences in the test suite. Dense layers take a
+(batch, n) matrix, a single row as (1, n); the LSTM takes (T, k, in)
+batches. Gradients are summed over the batch dimension.
 
 The LSTM cell carries no bias terms and keeps its four gates in one
 stacked weight matrix W (4h, h + in), so a step is the single matmul
-W @ [z_prev; x_t] into a gate-major (4h, k) block. Trajectories live in an
-LstmWorkspace that is reused across calls of one shape; a forward cache
-is valid until the next forward on the same workspace. A forward-only
-pass, which keeps no cache, holds one step of gates and cell states.
+W @ [z_prev; x_t] into a gate-major (4h, k) block. `lstm_step` is that
+step on caller-owned buffers, the one copy of its math; lstm_forward
+loops over it. Trajectories live in an LstmWorkspace that is reused
+across calls of one shape; a forward cache is valid until the next
+forward on the same workspace. A forward-only pass, which keeps no
+cache, holds one step of gates and cell states.
 The workspace's dtype is the dtype the cell computes in (the generator
 uses float32); weights, final states and gradients stay float64.
 """
@@ -100,13 +102,6 @@ def init_params(shape, scheme: str, rng: np.random.Generator) -> np.ndarray:
     raise ValueError(f"unknown init scheme {scheme!r}")
 
 
-def _as_batch(x: np.ndarray) -> tuple[np.ndarray, bool]:
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 1:
-        return x[None, :], True
-    return x, False
-
-
 @dataclass
 class DenseLayer:
     weights: np.ndarray  # (out, in)
@@ -127,25 +122,22 @@ class DenseGrads:
 
 
 def dense_forward(layer: DenseLayer, x):
-    """Returns (activation(x @ W.T + b), cache for the backward pass)."""
-    xb, squeeze = _as_batch(x)
-    if xb.shape[1] != layer.weights.shape[1]:
-        raise NumericError(f"dense input width {xb.shape[1]} != layer "
-                           f"in-size {layer.weights.shape[1]}")
-    pre = xb @ layer.weights.T + layer.bias
+    """(activation(x @ W.T + b), backward cache) for x (batch, in), in float64."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != layer.weights.shape[1]:
+        raise NumericError(f"dense input of shape {x.shape} is not "
+                           f"(batch, {layer.weights.shape[1]})")
+    pre = x @ layer.weights.T + layer.bias
     post = _apply_activation(layer.activation, pre)
-    cache = (xb, pre, post, squeeze)
-    return (post[0] if squeeze else post), cache
+    return post, (x, pre, post)
 
 
 def dense_backward(layer: DenseLayer, cache, upstream):
     """Chain rule through one dense layer; batch gradients are summed."""
-    xb, pre, post, squeeze = cache
-    gb, _ = _as_batch(upstream)
-    g = gb * _activation_grad(layer.activation, pre, post)
-    grads = DenseGrads(weights=g.T @ xb, bias=g.sum(axis=0))
-    dx = g @ layer.weights
-    return (dx[0] if squeeze else dx), grads
+    x, pre, post = cache
+    g = upstream * _activation_grad(layer.activation, pre, post)
+    grads = DenseGrads(weights=g.T @ x, bias=g.sum(axis=0))
+    return g @ layer.weights, grads
 
 
 @dataclass
@@ -253,24 +245,48 @@ class LstmWorkspace:
                 self._dW_t)
 
 
+def check_lstm_state(c, z) -> None:
+    """Raise NumericError unless the cell and short-term states are finite."""
+    if not (np.all(np.isfinite(c)) and np.all(np.isfinite(z))):
+        raise NumericError("non-finite LSTM state in forward pass")
+
+
+def lstm_step(W, s, p, c_prev, c, tc, z, ig):
+    """One step on k batch columns, in place, in the buffers' dtype:
+
+        p = [f; i; o; g] = [sigmoid; sigmoid; sigmoid; tanh](W @ s)
+        c = c_prev * f + i * g,  tc = tanh(c),  z = tc * o
+
+    with s = [z_prev; x_t] (h + in, k), p (4h, k), the rest (h, k) and ig
+    scratch. z may be s[:h]: the matmul has read s by then.
+    """
+    np.matmul(W, s, out=p)
+    gates = p.reshape(4, -1, p.shape[1])
+    f, i, o, g = gates
+    fio = gates[:3]
+    sigmoid(fio, out=fio)
+    np.tanh(g, out=g)
+    np.multiply(f, c_prev, out=c)
+    np.multiply(i, g, out=ig)
+    c += ig
+    np.tanh(c, out=tc)
+    np.multiply(tc, o, out=z)
+
+
 def lstm_forward(cell: LstmCell, xs, init: LstmState,
                  workspace: LstmWorkspace | None = None, keep_cache=True):
     """Run the cell over xs (T, k, in) from `init` (c and z of (k, h)).
 
-    Each step is
-
-        [f; i; o; g] = [sigmoid; sigmoid; sigmoid; tanh](W @ [z_prev; x_t])
-        c = c_prev * f + i * g
-        z = tanh(c) * o
-
-    as one matmul into the step's gate block followed by in-place ufuncs.
+    Each step is one `lstm_step` on the workspace's slabs: step t reads
+    S[t] = [z_{t-1}; x_t] and writes z_t into S[t+1, :h].
     Returns (final LstmState as fresh arrays, cache for lstm_backward).
     The trajectory stays in `workspace` (a private one when None), so the
     cache is valid only until the next forward on the same workspace.
     With keep_cache=False the pass is forward-only: the workspace keeps
     one step of gates and cell states instead of T, and the cache is None.
     The pass computes in the workspace's dtype, on one cast of W; the
-    final state is float64 whatever that dtype is.
+    final state is float64 whatever that dtype is. A non-finite final
+    state raises NumericError.
     """
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 3 or xs.shape[0] == 0:
@@ -291,25 +307,15 @@ def lstm_forward(cell: LstmCell, xs, init: LstmState,
     # step t uses P[t % D], TC[t % D] and C[t % (D+1)] -> C[(t+1) % (D+1)]
     # (see LstmWorkspace): the cycles wrap only in a forward-only pass
     W = cell.W.astype(ws.dtype, copy=False)
-    for p, gates, s, z, c_prev, c, tc in zip(
-            cycle(P), cycle(P.reshape(-1, 4, h, k)), S, S[1:, :h], cycle(C),
-            cycle(chain(C[1:], C[:1])), cycle(TC)):
-        np.matmul(W, s, out=p)
-        f, i, o, g = gates
-        fio = gates[:3]
-        sigmoid(fio, out=fio)
-        np.tanh(g, out=g)
-        np.multiply(f, c_prev, out=c)
-        np.multiply(i, g, out=ig)
-        c += ig
-        np.tanh(c, out=tc)
-        np.multiply(tc, o, out=z)
+    for p, s, z, c_prev, c, tc in zip(
+            cycle(P), S, S[1:, :h], cycle(C), cycle(chain(C[1:], C[:1])),
+            cycle(TC)):
+        lstm_step(W, s, p, c_prev, c, tc, z, ig)
     # C order: a transposed view's cast keeps Fortran order, and the head's
     # GEMM would then round a row range differently from the whole
     state = LstmState(c=C[T % len(C)].T.astype(np.float64, order="C"),
                       z=S[T, :h].T.astype(np.float64, order="C"))
-    if not (np.all(np.isfinite(state.c)) and np.all(np.isfinite(state.z))):
-        raise NumericError("non-finite LSTM state in forward pass")
+    check_lstm_state(state.c, state.z)
     if not keep_cache:
         return state, None
     cache = {"xs": xs, "workspace": ws, "generation": ws.generation,

@@ -7,7 +7,7 @@ from tsgan import checkpoint, data, scaling
 from tsgan.errors import DataError, NumericError
 from tsgan.gan import (Discriminator, Generator, TrainConfig, synthesize_series,
                        train, train_discriminator_step, train_generator_step)
-from tsgan.nn import LstmWorkspace
+from tsgan.nn import LstmState, LstmWorkspace, dense_forward, lstm_forward
 from tsgan.optim import AdamState
 
 LN2 = math.log(2.0)
@@ -51,6 +51,36 @@ def recursive_reference(gen, scaler, real_closes, d, seed):
     return scaling.inverse_transform(out, scaler)
 
 
+def wavefront_reference(gen, scaler, real_closes, d, seed):
+    """Recursive synthesis as a wavefront of one-step lstm_forward passes:
+    at each tick the d windows in flight step together as the d rows of a
+    fresh T=1 pass, carrying their state between passes as LstmState."""
+    normalized = scaling.transform(np.asarray(real_closes, dtype=np.float64),
+                                   scaler)
+    n = normalized.shape[0]
+    m = n - d
+    rng = np.random.default_rng(seed)
+    buf = np.empty(n)
+    buf[:d] = normalized[:d]
+    zs = rng.standard_normal((m, gen.noise_dim))
+    xs = np.zeros((1, d, 1 + gen.noise_dim))
+    state = LstmState.zeros(gen.lstm.hidden_size, d)
+    for tick in range(m + d - 1):
+        if tick < m:
+            row = tick % d
+            state.c[row] = 0.0
+            state.z[row] = 0.0
+            xs[0, row, 1:] = zs[tick]
+        xs[0, :, 0] = buf[tick]
+        state, _ = lstm_forward(gen.lstm, xs, state, gen.workspace,
+                                keep_cache=False)
+        if tick >= d - 1:
+            row = (tick + 1) % d
+            value, _ = dense_forward(gen.head, state.z[row:row + 1])
+            buf[tick + 1] = value[0, 0]
+    return scaling.inverse_transform(buf[d:], scaler)
+
+
 def _recursive_cases():
     """(d, n - d) for d in 1, 4, 60 and n - d in 1, d-1, d, 2d+3 (>= 1)."""
     return [(d, m) for d in (1, 4, 60)
@@ -76,7 +106,6 @@ class TestGenerator:
     def test_matches_hand_trace_two_steps(self):
         """d=2: the LSTM sees [cond_0, z] then [cond_1, z]; the head reads
         the final short-term state. Trace both steps in scalars."""
-        from tsgan.nn import LstmState, dense_forward
         from lstm_oracle import lstm_step
         config = toy_config(condition_dim=2)
         gen = Generator(config, np.random.default_rng(6))
@@ -89,8 +118,8 @@ class TestGenerator:
         for t in range(2):
             x_t = np.concatenate([cond[0, t:t + 1], z[0]])
             state, _ = lstm_step(gen.lstm, x_t, state)
-        head_out, _ = dense_forward(gen.head, state.z[0])
-        assert out[0] == pytest.approx(head_out[0], abs=1e-12)
+        head_out, _ = dense_forward(gen.head, state.z[:1])
+        assert out[0] == pytest.approx(head_out[0, 0], abs=1e-12)
 
     def test_backward_on_stale_cache_raises(self):
         # the generator reuses its LSTM buffers, so a later pass of the
@@ -337,6 +366,29 @@ class TestSynthesize:
         ref = recursive_reference(gen, scaler, closes, d, seed=m)
         assert out.shape == (m,)
         np.testing.assert_allclose(out, ref, rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("d, m", _recursive_cases())
+    def test_recursive_matches_wavefront_reference(self, d, m):
+        # the same wavefront on the generator's own float32 workspace, one
+        # lstm_forward call per tick: the same products in the same order,
+        # so the values must agree bit for bit
+        gen = Generator(TrainConfig(condition_dim=d), np.random.default_rng(d))
+        assert gen.workspace.dtype == np.float32
+        closes = 100 + np.cumsum(np.random.default_rng(m).standard_normal(d + m))
+        scaler = scaling.fit(closes)
+        out = synthesize_series(gen, scaler, closes, condition_dim=d,
+                                mode="recursive", seed=m)
+        ref = wavefront_reference(gen, scaler, closes, d, seed=m)
+        np.testing.assert_array_equal(out, ref)
+
+    def test_recursive_non_finite_state_raises(self):
+        # the state check runs every tick, ahead of the head's own check
+        gen = Generator(toy_config(), np.random.default_rng(23))
+        gen.lstm.W[0, 0] = np.nan
+        closes = np.random.default_rng(24).uniform(90, 110, 30)
+        with pytest.raises(NumericError, match="non-finite LSTM state"):
+            synthesize_series(gen, scaling.fit(closes), closes,
+                              condition_dim=4, mode="recursive")
 
     def test_recursive_non_finite_head_raises(self):
         gen = Generator(toy_config(), np.random.default_rng(21))

@@ -65,48 +65,54 @@ class TestActivations:
 class TestDense:
     def test_zero_layer_relu(self):
         layer = nn.DenseLayer(np.zeros((3, 2)), np.zeros(3), "relu")
-        out, _ = nn.dense_forward(layer, np.array([1.0, -2.0]))
-        assert out.tolist() == [0.0, 0.0, 0.0]
+        out, _ = nn.dense_forward(layer, np.array([[1.0, -2.0]]))
+        assert out.tolist() == [[0.0, 0.0, 0.0]]
 
     def test_identity_passthrough(self):
         layer = nn.DenseLayer(np.eye(3), np.zeros(3), "identity")
-        x = np.array([1.0, -2.0, 3.0])
+        x = np.array([[1.0, -2.0, 3.0]])
         out, _ = nn.dense_forward(layer, x)
         np.testing.assert_array_equal(out, x)
 
     def test_sigmoid_scalar_value(self):
         layer = nn.DenseLayer(np.array([[1.0, 2.0]]), np.array([0.5]), "sigmoid")
-        out, _ = nn.dense_forward(layer, np.array([1.0, 1.0]))
-        assert out[0] == pytest.approx(0.970688, abs=1e-6)  # sigmoid(3.5)
+        out, _ = nn.dense_forward(layer, np.array([[1.0, 1.0]]))
+        assert out[0, 0] == pytest.approx(0.970688, abs=1e-6)  # sigmoid(3.5)
 
     def test_backward_zero_upstream(self):
         rng = np.random.default_rng(2)
         layer = nn.DenseLayer(rng.standard_normal((4, 3)),
                               rng.standard_normal(4), "tanh")
-        _, cache = nn.dense_forward(layer, rng.standard_normal(3))
-        dx, grads = nn.dense_backward(layer, cache, np.zeros(4))
+        _, cache = nn.dense_forward(layer, rng.standard_normal((1, 3)))
+        dx, grads = nn.dense_backward(layer, cache, np.zeros((1, 4)))
         assert not np.any(dx)
         assert not np.any(grads.weights) and not np.any(grads.bias)
 
     def test_backward_linear_case(self):
         layer = nn.DenseLayer(np.array([[2.0, 3.0]]), np.zeros(1), "identity")
-        x = np.array([5.0, 7.0])
+        x = np.array([[5.0, 7.0]])
         _, cache = nn.dense_forward(layer, x)
-        upstream = np.array([1.5])
+        upstream = np.array([[1.5]])
         dx, grads = nn.dense_backward(layer, cache, upstream)
-        np.testing.assert_array_equal(grads.weights, upstream[:, None] * x)
+        np.testing.assert_array_equal(grads.weights, upstream.T * x)
         np.testing.assert_array_equal(dx, upstream @ layer.weights)
 
     def test_shape_mismatch(self):
         layer = nn.DenseLayer(np.zeros((2, 3)), np.zeros(2), "relu")
         with pytest.raises(NumericError):
-            nn.dense_forward(layer, np.zeros(4))
+            nn.dense_forward(layer, np.zeros((1, 4)))
+
+    def test_vector_input_rejected(self):
+        # one row is (1, n); a bare vector is not a batch
+        layer = nn.DenseLayer(np.zeros((2, 3)), np.zeros(2), "relu")
+        with pytest.raises(NumericError, match="batch"):
+            nn.dense_forward(layer, np.zeros(3))
 
     def test_forward_pure(self):
         rng = np.random.default_rng(3)
         layer = nn.DenseLayer(rng.standard_normal((4, 3)),
                               rng.standard_normal(4), "relu")
-        x = rng.standard_normal(3)
+        x = rng.standard_normal((1, 3))
         a, _ = nn.dense_forward(layer, x)
         b, _ = nn.dense_forward(layer, x)
         np.testing.assert_array_equal(a, b)
