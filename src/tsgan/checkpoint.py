@@ -64,29 +64,6 @@ def _decode_adam(obj: dict) -> AdamState:
                      m=_decode_blocks(obj["m"]), v=_decode_blocks(obj["v"]))
 
 
-def _sanitize(obj):
-    """Recursively convert numpy scalars/arrays (RNG state) to JSON types."""
-    if isinstance(obj, dict):
-        return {k: _sanitize(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitize(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return {"__ndarray__": obj.dtype.str, "values": obj.tolist()}
-    if isinstance(obj, np.generic):
-        return obj.item()
-    return obj
-
-
-def _unsanitize(obj):
-    if isinstance(obj, dict):
-        if "__ndarray__" in obj:
-            return np.array(obj["values"], dtype=obj["__ndarray__"])
-        return {k: _unsanitize(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_unsanitize(v) for v in obj]
-    return obj
-
-
 @contextmanager
 def atomic_write(path):
     """Open `path` for writing text through a temporary file beside it.
@@ -120,7 +97,7 @@ def save(path, model: TrainedModel) -> None:
                          "g_epoch": model.history.g_epoch,
                          "d_batch": model.history.d_batch,
                          "g_batch": model.history.g_batch},
-        "rng_state": _sanitize(model.rng_state),
+        "rng_state": model.rng_state,
         "params": _encode_blocks({**model.generator.params(),
                                   **model.discriminator.params()}),
         "adam_g": _encode_adam(model.adam_g),
@@ -175,7 +152,7 @@ def _model_from(doc: dict) -> TrainedModel:
                         adam_g=adam_g, adam_d=adam_d,
                         scaler=scaler, config=config, epoch=doc["epoch"],
                         history=history,
-                        rng_state=_unsanitize(doc["rng_state"]))
+                        rng_state=doc["rng_state"])
 
 
 def load(path) -> TrainedModel:

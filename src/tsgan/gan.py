@@ -6,8 +6,9 @@ input; a scalar head reads the final short-term state. Discriminator: an
 MLP scoring (condition window, value) as a raw logit.
 
 Training alternates one discriminator step and one generator step per
-mini-batch. All randomness flows through a single seeded Generator so runs
-are bit-reproducible.
+mini-batch, both fed by one generator pass; the discriminator sees its k
+real and k fake rows in one 2k-row pass. All randomness flows through a
+single seeded Generator so runs are bit-reproducible.
 """
 
 from __future__ import annotations
@@ -118,7 +119,6 @@ class Generator:
         Returns (values (k,), cache or None). keep_cache=False runs the
         LSTM forward-only, on one step of gate and cell buffers.
         """
-        conditions = np.atleast_2d(np.asarray(conditions, dtype=np.float64))
         k, d = conditions.shape
         xs = np.empty((d, k, 1 + self.noise_dim))
         xs[:, :, 0] = conditions.T
@@ -142,8 +142,8 @@ class Generator:
         k = conditions.shape[0]
         fake, (lstm_cache, head_cache) = self.forward(
             np.concatenate([conditions, conditions]), z2)
-        x, pre, post = head_cache
-        cache = (lstm_cache_rows(lstm_cache, k), (x[k:], pre[k:], post[k:]))
+        x, pre = head_cache
+        cache = (lstm_cache_rows(lstm_cache, k), (x[k:], pre[k:]))
         return fake[:k], fake[k:], cache
 
     def backward(self, cache, dxhat: np.ndarray) -> dict[str, np.ndarray]:
@@ -176,7 +176,6 @@ class Discriminator:
 
     def forward(self, conditions: np.ndarray, values: np.ndarray):
         """Returns (logits (k,), caches)."""
-        conditions = np.atleast_2d(np.asarray(conditions, dtype=np.float64))
         x = np.concatenate([conditions,
                             np.asarray(values, dtype=np.float64)[:, None]],
                            axis=1)
@@ -202,50 +201,31 @@ def _clip(grads: dict[str, np.ndarray], clip_norm: float) -> None:
         clip_global_norm(list(grads.values()), clip_norm)
 
 
-def train_discriminator_step(disc: Discriminator, gen: Generator,
-                             conditions: np.ndarray, targets: np.ndarray,
-                             adam_d: AdamState, rng: np.random.Generator,
-                             clip_norm: float = 5.0, fake=None) -> float:
-    """Real pass labeled 1, fake pass labeled 0; the generator output is a
-    constant here (no gradient reaches G). Returns the mean half-sum loss.
-
-    `fake` may carry precomputed generator output for this batch; otherwise
-    noise is drawn here and the generator runs cache-free."""
+def train_discriminator_step(disc: Discriminator, conditions: np.ndarray,
+                             targets: np.ndarray, fake: np.ndarray,
+                             adam_d: AdamState, clip_norm: float = 5.0) -> float:
+    """One pass over the k real rows labeled 1 and the k `fake` rows labeled
+    0, as one 2k-row batch; `fake` is a constant here (no gradient reaches
+    G). Returns the mean loss over the 2k rows."""
     k = targets.shape[0]
-    if fake is None:
-        z = rng.standard_normal((k, gen.noise_dim))
-        fake, _ = gen.forward(conditions, z, keep_cache=False)
-
-    logits_real, caches_real = disc.forward(conditions, targets)
-    logits_fake, caches_fake = disc.forward(conditions, fake)
-    loss = 0.5 * (bce_with_logits(logits_real, 1.0)
-                  + bce_with_logits(logits_fake, 0.0))
-
-    d_real = 0.5 * bce_with_logits_grad(logits_real, 1.0) / k
-    d_fake = 0.5 * bce_with_logits_grad(logits_fake, 0.0) / k
-    _, grads_real = disc.backward(caches_real, d_real)
-    _, grads_fake = disc.backward(caches_fake, d_fake)
-    grads = {name: grads_real[name] + grads_fake[name] for name in grads_real}
+    labels = np.repeat([1.0, 0.0], k)
+    logits, caches = disc.forward(np.concatenate([conditions, conditions]),
+                                  np.concatenate([targets, fake]))
+    loss = bce_with_logits(logits, labels)
+    _, grads = disc.backward(caches,
+                             bce_with_logits_grad(logits, labels) / (2 * k))
     _clip(grads, clip_norm)
     adam_step(disc.params(), grads, adam_d)
     return loss
 
 
 def train_generator_step(gen: Generator, disc: Discriminator,
-                         conditions: np.ndarray, adam_g: AdamState,
-                         rng: np.random.Generator,
-                         clip_norm: float = 5.0, fake=None,
-                         gen_cache=None) -> float:
+                         conditions: np.ndarray, fake: np.ndarray, gen_cache,
+                         adam_g: AdamState, clip_norm: float = 5.0) -> float:
     """Fake batch labeled 1 (the fooling objective); gradients flow through
-    the discriminator into G, but only G's parameters are updated.
-
-    `fake`/`gen_cache` may carry a precomputed generator pass; otherwise
-    noise is drawn here."""
-    conditions = np.atleast_2d(conditions)
+    the discriminator into G along `gen_cache`, the generator pass that made
+    `fake`, but only G's parameters are updated."""
     k = conditions.shape[0]
-    if fake is None:
-        z = rng.standard_normal((k, gen.noise_dim))
-        fake, gen_cache = gen.forward(conditions, z)
     logits, disc_caches = disc.forward(conditions, fake)
     loss = bce_with_logits(logits, 1.0)
 
@@ -305,18 +285,15 @@ def train(config: TrainConfig, pairs: PairSet, scaler: scaling.ScalerParams,
             try:
                 # one double-width generator pass serves both steps: rows
                 # :k are the D step's fake batch (no gradient), rows k:
-                # the G step's. G's output doesn't depend on D, and two
-                # consecutive (k, l) normal draws consume the noise stream
-                # exactly like one (2k, l) draw, so this matches running
-                # the steps independently.
+                # the G step's. G's output doesn't depend on D, so the D
+                # step's update leaves the G step's pass valid.
                 z2 = rng.standard_normal((2 * k, gen.noise_dim))
                 fake_d, fake_g, gen_cache = gen.forward_pair(cond, z2)
                 d_losses[b] = train_discriminator_step(
-                    disc, gen, cond, target, adam_d, rng, config.clip_norm,
-                    fake=fake_d)
+                    disc, cond, target, fake_d, adam_d, config.clip_norm)
                 g_losses[b] = train_generator_step(
-                    gen, disc, cond, adam_g, rng, config.clip_norm,
-                    fake=fake_g, gen_cache=gen_cache)
+                    gen, disc, cond, fake_g, gen_cache, adam_g,
+                    config.clip_norm)
             except NumericError as exc:
                 raise NumericError(f"{exc} (epoch {epoch}, batch {b})") from None
         history.d_batch.extend(d_losses.tolist())

@@ -14,7 +14,6 @@ import numpy as np
 from .gan import Discriminator, Generator, TrainConfig
 from .nn import (DenseLayer, LstmCell, LstmState, LstmWorkspace,
                  dense_backward, dense_forward, lstm_backward, lstm_forward)
-from .optim import bce_with_logits, sigmoid
 
 H = 1e-5
 TOL = 1e-4
@@ -48,13 +47,13 @@ def _numeric_grad(f, param: np.ndarray) -> np.ndarray:
 
 
 def check_dense(rng: np.random.Generator, trials: int = 100) -> float:
-    """Random 4x3 layers, all four activations, loss = weighted output sum."""
+    """Random 4x3 layers, both activations, loss = weighted output sum."""
     worst = 0.0
-    activations = ("relu", "sigmoid", "tanh", "identity")
+    activations = ("relu", "identity")
     for trial in range(trials):
         layer = DenseLayer(weights=rng.standard_normal((4, 3)),
                            bias=rng.standard_normal(4),
-                           activation=activations[trial % 4])
+                           activation=activations[trial % 2])
         x = rng.standard_normal((1, 3))
         w = rng.standard_normal((1, 4))  # random linear readout as scalar loss
 

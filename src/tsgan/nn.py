@@ -2,8 +2,9 @@
 
 No autodiff: every backward pass is the explicit chain rule, checked
 against central finite differences in the test suite. Dense layers take a
-(batch, n) matrix, a single row as (1, n); the LSTM takes (T, k, in)
-batches. Gradients are summed over the batch dimension.
+(batch, n) matrix, a single row as (1, n), and apply `relu` or `identity`;
+the LSTM takes (T, k, in) batches. Gradients are summed over the batch
+dimension.
 
 The LSTM cell carries no bias terms and keeps its four gates in one
 stacked weight matrix W (4h, h + in), so a step is the single matmul
@@ -25,8 +26,6 @@ from itertools import chain, cycle
 import numpy as np
 
 from .errors import NumericError
-
-ACTIVATIONS = ("relu", "sigmoid", "tanh", "identity")
 
 # per dtype, the clamp that keeps exp(-x) finite and a normal number:
 # exp overflows past 709.78 and leaves the normal range past -708.4 in
@@ -63,22 +62,14 @@ def sigmoid(x, out=None):
 def _apply_activation(name: str, pre: np.ndarray) -> np.ndarray:
     if name == "relu":
         return np.maximum(pre, 0.0)
-    if name == "sigmoid":
-        return sigmoid(pre)
-    if name == "tanh":
-        return np.tanh(pre)
     if name == "identity":
         return pre
     raise ValueError(f"unknown activation {name!r}")
 
 
-def _activation_grad(name: str, pre: np.ndarray, post: np.ndarray) -> np.ndarray:
+def _activation_grad(name: str, pre: np.ndarray) -> np.ndarray:
     if name == "relu":
         return (pre > 0).astype(np.float64)
-    if name == "sigmoid":
-        return post * (1.0 - post)
-    if name == "tanh":
-        return 1.0 - post * post
     if name == "identity":
         return np.ones_like(pre)
     raise ValueError(f"unknown activation {name!r}")
@@ -128,14 +119,13 @@ def dense_forward(layer: DenseLayer, x):
         raise NumericError(f"dense input of shape {x.shape} is not "
                            f"(batch, {layer.weights.shape[1]})")
     pre = x @ layer.weights.T + layer.bias
-    post = _apply_activation(layer.activation, pre)
-    return post, (x, pre, post)
+    return _apply_activation(layer.activation, pre), (x, pre)
 
 
 def dense_backward(layer: DenseLayer, cache, upstream):
     """Chain rule through one dense layer; batch gradients are summed."""
-    x, pre, post = cache
-    g = upstream * _activation_grad(layer.activation, pre, post)
+    x, pre = cache
+    g = upstream * _activation_grad(layer.activation, pre)
     grads = DenseGrads(weights=g.T @ x, bias=g.sum(axis=0))
     return g @ layer.weights, grads
 

@@ -15,9 +15,6 @@ import numpy as np
 from .errors import NumericError
 from .nn import sigmoid
 
-__all__ = ["sigmoid", "bce_with_logits", "bce_with_logits_grad",
-           "AdamState", "adam_step"]
-
 
 def _check_labels(labels: np.ndarray) -> None:
     if not np.all((labels == 0.0) | (labels == 1.0)):

@@ -1,3 +1,4 @@
+import copy
 import math
 
 import numpy as np
@@ -7,8 +8,9 @@ from tsgan import checkpoint, data, scaling
 from tsgan.errors import DataError, NumericError
 from tsgan.gan import (Discriminator, Generator, TrainConfig, synthesize_series,
                        train, train_discriminator_step, train_generator_step)
-from tsgan.nn import LstmState, LstmWorkspace, dense_forward, lstm_forward
-from tsgan.optim import AdamState
+from tsgan.nn import (LstmState, LstmWorkspace, clip_global_norm,
+                      dense_forward, lstm_forward)
+from tsgan.optim import AdamState, adam_step, bce_with_logits, bce_with_logits_grad
 
 LN2 = math.log(2.0)
 
@@ -31,6 +33,32 @@ def toy_scaler():
 
 def params_checksum(params):
     return {k: v.copy() for k, v in params.items()}
+
+
+def pair_pass(gen, cond, rng):
+    """The generator pass train() feeds both steps of a batch: (2k, l)
+    noise through forward_pair. Returns (D's fake, G's fake, G's cache)."""
+    z2 = rng.standard_normal((2 * cond.shape[0], gen.noise_dim))
+    return gen.forward_pair(cond, z2)
+
+
+def two_pass_d_step(disc, conditions, targets, fake, adam_d, clip_norm=5.0):
+    """The discriminator step as a real pass and a fake pass whose gradient
+    dicts are summed: the reference for the one-pass step."""
+    k = targets.shape[0]
+    logits_real, caches_real = disc.forward(conditions, targets)
+    logits_fake, caches_fake = disc.forward(conditions, fake)
+    loss = 0.5 * (bce_with_logits(logits_real, 1.0)
+                  + bce_with_logits(logits_fake, 0.0))
+    d_real = 0.5 * bce_with_logits_grad(logits_real, 1.0) / k
+    d_fake = 0.5 * bce_with_logits_grad(logits_fake, 0.0) / k
+    _, grads_real = disc.backward(caches_real, d_real)
+    _, grads_fake = disc.backward(caches_fake, d_fake)
+    grads = {name: grads_real[name] + grads_fake[name] for name in grads_real}
+    if clip_norm > 0:
+        clip_global_norm(list(grads.values()), clip_norm)
+    adam_step(disc.params(), grads, adam_d)
+    return loss
 
 
 def recursive_reference(gen, scaler, real_closes, d, seed):
@@ -227,19 +255,19 @@ class TestTrainingSteps:
         disc = Discriminator(config, rng)
         cond = np.random.default_rng(1).standard_normal((2, 4))
         target = np.array([0.1, -0.2])
-        ld = train_discriminator_step(disc, gen, cond, target, AdamState(), rng)
-        lg = train_generator_step(gen, disc, cond, AdamState(), rng)
+        fake_d, fake_g, gen_cache = pair_pass(gen, cond, rng)
+        ld = train_discriminator_step(disc, cond, target, fake_d, AdamState())
+        lg = train_generator_step(gen, disc, cond, fake_g, gen_cache,
+                                  AdamState())
         assert ld == pytest.approx(LN2, abs=1e-12)
         assert lg == pytest.approx(LN2, abs=1e-12)
 
     def test_perfect_discriminator_loss_near_zero(self):
         # softplus at +/-50: loss ~ 2e-22
-        from tsgan.optim import bce_with_logits
         loss = 0.5 * (bce_with_logits(50.0, 1.0) + bce_with_logits(-50.0, 0.0))
         assert loss < 1e-20
 
     def test_confident_wrong_discriminator_gen_loss_zero(self):
-        from tsgan.optim import bce_with_logits
         assert bce_with_logits(50.0, 1.0) < 1e-20
 
     def test_d_step_leaves_generator_untouched(self):
@@ -249,8 +277,9 @@ class TestTrainingSteps:
         disc = Discriminator(config, rng)
         before = params_checksum(gen.params())
         cond = rng.standard_normal((2, 4))
-        train_discriminator_step(disc, gen, cond, np.array([0.1, 0.2]),
-                                 AdamState(), rng)
+        fake_d, _, _ = pair_pass(gen, cond, rng)
+        train_discriminator_step(disc, cond, np.array([0.1, 0.2]), fake_d,
+                                 AdamState())
         for name, value in gen.params().items():
             np.testing.assert_array_equal(value, before[name])
 
@@ -260,8 +289,9 @@ class TestTrainingSteps:
         gen = Generator(config, rng)
         disc = Discriminator(config, rng)
         before = params_checksum(disc.params())
-        train_generator_step(gen, disc, rng.standard_normal((2, 4)),
-                             AdamState(), rng)
+        cond = rng.standard_normal((2, 4))
+        _, fake_g, gen_cache = pair_pass(gen, cond, rng)
+        train_generator_step(gen, disc, cond, fake_g, gen_cache, AdamState())
         for name, value in disc.params().items():
             np.testing.assert_array_equal(value, before[name])
 
@@ -271,8 +301,10 @@ class TestTrainingSteps:
         gen = Generator(config, rng)
         disc = Discriminator(config, rng)
         before = params_checksum(gen.params())
-        train_generator_step(gen, disc, rng.standard_normal((2, 4)),
-                             AdamState(lr=1e-3), rng)
+        cond = rng.standard_normal((2, 4))
+        _, fake_g, gen_cache = pair_pass(gen, cond, rng)
+        train_generator_step(gen, disc, cond, fake_g, gen_cache,
+                             AdamState(lr=1e-3))
         changed = any(not np.array_equal(v, before[k])
                       for k, v in gen.params().items())
         assert changed
@@ -283,11 +315,43 @@ class TestTrainingSteps:
         gen = Generator(config, rng)
         disc = Discriminator(config, rng)
         cond = rng.standard_normal((2, 4))
-        ld = train_discriminator_step(disc, gen, cond, np.array([0.3, -0.3]),
-                                      AdamState(), rng)
-        lg = train_generator_step(gen, disc, cond, AdamState(), rng)
+        fake_d, fake_g, gen_cache = pair_pass(gen, cond, rng)
+        ld = train_discriminator_step(disc, cond, np.array([0.3, -0.3]),
+                                      fake_d, AdamState())
+        lg = train_generator_step(gen, disc, cond, fake_g, gen_cache,
+                                  AdamState())
         assert math.isfinite(ld) and ld > 0
         assert math.isfinite(lg) and lg > 0
+
+    @pytest.mark.parametrize("clip_norm, adam", [
+        (5.0, {}),
+        # Adam's update is scale-free apart from epsilon; a large epsilon
+        # makes it about linear in the gradient, so a gradient off by a
+        # constant factor moves the parameters differently
+        (0.0, {"lr": 1e-3, "epsilon": 1.0})], ids=["default", "linear-adam"])
+    def test_one_pass_d_step_matches_two_pass_reference(self, clip_norm, adam):
+        k = 8
+        config = toy_config(batch_size=k)
+        rng = np.random.default_rng(12)
+        gen = Generator(config, rng)
+        disc = Discriminator(config, rng)
+        ref_disc = copy.deepcopy(disc)
+        adam_d, ref_adam = AdamState(**adam), AdamState(**adam)
+        gen_before = params_checksum(gen.params())
+        for _ in range(3):
+            cond = rng.standard_normal((k, 4))
+            target = rng.standard_normal(k)
+            fake_d, _, _ = pair_pass(gen, cond, rng)
+            loss = train_discriminator_step(disc, cond, target, fake_d,
+                                            adam_d, clip_norm)
+            ref_loss = two_pass_d_step(ref_disc, cond, target, fake_d,
+                                       ref_adam, clip_norm)
+            assert loss == pytest.approx(ref_loss, rel=0, abs=1e-15)
+            for name, value in ref_disc.params().items():
+                np.testing.assert_allclose(disc.params()[name], value,
+                                           rtol=1e-12, atol=0)
+        for name, value in gen.params().items():
+            np.testing.assert_array_equal(value, gen_before[name])
 
 
 class TestTrainLoop:
@@ -478,7 +542,6 @@ class TestCheckpointRoundTrip:
     def test_resume_matches_uninterrupted(self, tmp_path):
         """Loading a checkpoint and continuing reproduces the trajectory of
         an uninterrupted run with the same total epoch budget."""
-        from tsgan.gan import LossHistory
         pairs = toy_pairs(seed=23)
         full = train(toy_config(epochs=4, seed=23), pairs, toy_scaler())
 
@@ -494,12 +557,26 @@ class TestCheckpointRoundTrip:
             perm = rng.permutation(len(pairs))
             for b in range(n_batches):
                 idx = perm[b * k:(b + 1) * k]
-                train_discriminator_step(resumed.discriminator, resumed.generator,
-                                         pairs.conditions[idx], pairs.targets[idx],
-                                         resumed.adam_d, rng,
+                cond = pairs.conditions[idx]
+                fake_d, fake_g, gen_cache = pair_pass(resumed.generator, cond,
+                                                      rng)
+                train_discriminator_step(resumed.discriminator, cond,
+                                         pairs.targets[idx], fake_d,
+                                         resumed.adam_d,
                                          resumed.config.clip_norm)
                 train_generator_step(resumed.generator, resumed.discriminator,
-                                     pairs.conditions[idx], resumed.adam_g, rng,
+                                     cond, fake_g, gen_cache, resumed.adam_g,
                                      resumed.config.clip_norm)
-        for name, value in full.generator.params().items():
-            np.testing.assert_array_equal(resumed.generator.params()[name], value)
+        for net in ("generator", "discriminator"):
+            ours = getattr(resumed, net).params()
+            for name, value in getattr(full, net).params().items():
+                np.testing.assert_array_equal(ours[name], value)
+        for ours, theirs in ((resumed.adam_g, full.adam_g),
+                             (resumed.adam_d, full.adam_d)):
+            assert ours.t == theirs.t
+            for moments, full_moments in ((ours.m, theirs.m),
+                                          (ours.v, theirs.v)):
+                assert moments.keys() == full_moments.keys()
+                for name, value in full_moments.items():
+                    np.testing.assert_array_equal(moments[name], value)
+        assert rng.bit_generator.state == full.rng_state

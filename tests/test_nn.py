@@ -74,15 +74,23 @@ class TestDense:
         out, _ = nn.dense_forward(layer, x)
         np.testing.assert_array_equal(out, x)
 
-    def test_sigmoid_scalar_value(self):
-        layer = nn.DenseLayer(np.array([[1.0, 2.0]]), np.array([0.5]), "sigmoid")
+    def test_relu_scalar_value(self):
+        layer = nn.DenseLayer(np.array([[1.0, 2.0], [-1.0, -2.0]]),
+                              np.array([0.5, 0.5]), "relu")
         out, _ = nn.dense_forward(layer, np.array([[1.0, 1.0]]))
-        assert out[0, 0] == pytest.approx(0.970688, abs=1e-6)  # sigmoid(3.5)
+        assert out.tolist() == [[3.5, 0.0]]
+
+    @pytest.mark.parametrize("activation", ["sigmoid", "tanh"])
+    def test_removed_activation_rejected(self, activation):
+        # dense layers apply relu or identity; the LSTM gates keep their own
+        layer = nn.DenseLayer(np.zeros((2, 3)), np.zeros(2), activation)
+        with pytest.raises(ValueError, match="unknown activation"):
+            nn.dense_forward(layer, np.zeros((1, 3)))
 
     def test_backward_zero_upstream(self):
         rng = np.random.default_rng(2)
         layer = nn.DenseLayer(rng.standard_normal((4, 3)),
-                              rng.standard_normal(4), "tanh")
+                              rng.standard_normal(4), "relu")
         _, cache = nn.dense_forward(layer, rng.standard_normal((1, 3)))
         dx, grads = nn.dense_backward(layer, cache, np.zeros((1, 4)))
         assert not np.any(dx)
