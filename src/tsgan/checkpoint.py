@@ -145,6 +145,13 @@ def _model_from(doc: dict) -> TrainedModel:
         _check_blocks(f"{what}.m", state.m, shapes)
         _check_blocks(f"{what}.v", state.v, shapes)
 
+    rng_state = doc["rng_state"]
+    bit_generator = np.random.PCG64()
+    try:
+        bit_generator.state = rng_state
+    except (TypeError, ValueError, KeyError, OverflowError) as exc:
+        raise DataError(f"rng_state is not a PCG64 state: {exc}") from None
+
     hist = doc["loss_history"]
     history = LossHistory(d_epoch=hist["d_epoch"], g_epoch=hist["g_epoch"],
                           d_batch=hist["d_batch"], g_batch=hist["g_batch"])
@@ -152,16 +159,16 @@ def _model_from(doc: dict) -> TrainedModel:
                         adam_g=adam_g, adam_d=adam_d,
                         scaler=scaler, config=config, epoch=doc["epoch"],
                         history=history,
-                        rng_state=doc["rng_state"])
+                        rng_state=bit_generator.state)
 
 
 def load(path) -> TrainedModel:
     """Read a checkpoint written by `save`.
 
     Raises DataError for anything else: a file that is not JSON, another
-    format or version, a missing or malformed entry, or a parameter or
-    Adam moment block whose name or shape disagrees with the networks its
-    config builds.
+    format or version, a missing or malformed entry, an `rng_state` a
+    PCG64 generator refuses, or a parameter or Adam moment block whose name
+    or shape disagrees with the networks its config builds.
     """
     try:
         with open(path, encoding="utf-8") as fh:

@@ -237,19 +237,19 @@ def _read_generated_csv(path):
     """The two close columns as float64 arrays. A cell that is empty (a
     short row reads its missing cells as empty), not a number or not
     finite is a DataError naming its data row (1 is the first row after
-    the header) and its column."""
+    the header; blank lines are not counted) and its column."""
     real, fake = [], []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh, restval="")
-        if reader.fieldnames is None or \
-                not set(_GENERATED_COLUMNS) <= set(reader.fieldnames):
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        if not set(_GENERATED_COLUMNS) <= set(header):
             raise DataError(f"{path} lacks real_close/generated_close columns")
-        try:
-            for row in reader:
-                real.append(float(row["real_close"]))
-                fake.append(float(row["generated_close"]))
-        except ValueError:
-            raise _cell_error(path, len(fake) + 1, row) from None
+        for r, f in data.read_columns(reader, header, _GENERATED_COLUMNS):
+            try:
+                real.append(float(r))
+                fake.append(float(f))
+            except ValueError:
+                raise _cell_error(path, len(fake) + 1, (r, f)) from None
     if not real:
         raise DataError(f"{path} has no data rows")
     columns = np.array(real), np.array(fake)
@@ -261,14 +261,15 @@ def _read_generated_csv(path):
     return columns
 
 
-def _cell_error(path, row_number: int, row: dict) -> DataError:
-    """The error for the first cell of `row` that float() refuses."""
-    for name in _GENERATED_COLUMNS:
+def _cell_error(path, row_number: int, cells: tuple[str, str]) -> DataError:
+    """The error for the first of a row's (real_close, generated_close)
+    cells that float() refuses."""
+    for name, cell in zip(_GENERATED_COLUMNS, cells):
         try:
-            float(row[name])
+            float(cell)
         except ValueError:
             return DataError(f"{path} data row {row_number}: {name} "
-                             f"{row[name]!r} is not a number")
+                             f"{cell!r} is not a number")
     raise AssertionError("_cell_error called on a row of numbers")
 
 
@@ -288,7 +289,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    with open(args.input, newline="", encoding="utf-8") as fh:
+    with open(args.input, newline="", encoding="utf-8-sig") as fh:
         header = fh.readline().strip().split(",")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

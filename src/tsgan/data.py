@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 
@@ -107,16 +108,42 @@ def _parse_timestamp(raw: str, fmt: str | None) -> tuple[int, str]:
     return (dt - _EPOCH) // _MICROSECOND, "rfc3339"
 
 
-def _price_error(row: dict, have_ohlc: bool) -> str:
-    """Why a row's prices were refused, naming the first bad field in the
-    order load_csv reads them."""
-    for col in ("close", "open", "high", "low") if have_ohlc else ("close",):
+def read_columns(reader, header: list[str], names):
+    """Stream the records of a `csv.reader` whose header row `header` has
+    been read: each record as the tuple of its cells under `names` (two or
+    more names, all in the header).
+
+    The cells are those `csv.DictReader(fh, restval="")` gives: a repeated
+    header name reads its last column, blank lines are skipped (and not
+    counted by a caller that numbers the records), a short row reads its
+    missing cells as "", and extra cells are ignored.
+    """
+    last = {name: i for i, name in enumerate(header)}
+    index = [last[name] for name in names]
+    pick = operator.itemgetter(*index)
+    width = max(index) + 1
+    padding = [""] * width
+    for cells in reader:
+        if len(cells) < width:
+            if not cells:
+                continue
+            cells += padding[len(cells):]
+        yield pick(cells)
+
+
+_PRICE_COLUMNS = ("close", "open", "high", "low")
+
+
+def _price_error(cells: tuple[str, str, str, str]) -> str:
+    """Why a row's prices were refused: the first bad cell of (close, open,
+    high, low), the order load_csv reads them in."""
+    for col, cell in zip(_PRICE_COLUMNS, cells):
         try:
-            value = float(row[col])
+            value = float(cell)
         except ValueError:
-            return f"{col} {row[col]!r} is not a number"
+            return f"{col} {cell!r} is not a number"
         if not math.isfinite(value):
-            return f"{col} {row[col]!r} is not finite"
+            return f"{col} {cell!r} is not finite"
     raise AssertionError("_price_error called on a row with valid prices")
 
 
@@ -126,54 +153,54 @@ def load_csv(path, asset_id: str = "") -> LoadResult:
 
     Only timestamp and close are required; without all of open/high/low
     they are set to the close. Rows that fail to parse are collected into
-    the rejects report, never dropped silently.
+    the rejects report, never dropped silently. A leading UTF-8 byte-order
+    mark is skipped.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
-        # a short row reads its missing fields as "", rejected below
-        reader = csv.DictReader(fh, restval="")
-        header = reader.fieldnames or []
+    isfinite = math.isfinite
+    stamps, opens, highs, lows, closes = [], [], [], [], []
+    rejects: list[Reject] = []
+    ts_format: str | None = None
+    row_no = 1  # row 1 is the header
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
         for col in ("timestamp", "close"):
             if col not in header:
                 raise DataError(f"missing required column {col!r} in {path}")
         have_ohlc = {"open", "high", "low"} <= set(header)
-
-        stamps, opens, highs, lows, closes = [], [], [], [], []
-        rejects: list[Reject] = []
-        ts_format: str | None = None
-        n_rows = 0
-        for row_no, row in enumerate(reader, start=2):  # row 1 is the header
-            n_rows += 1
+        # without all of open/high/low, each of them reads the close cell
+        prices = _PRICE_COLUMNS if have_ohlc else ("close",) * 4
+        records = read_columns(reader, header, ("timestamp", *prices))
+        for row_no, (stamp, c, o, h, lo) in enumerate(records, start=2):
             try:
-                ts, detected = _parse_timestamp(row["timestamp"], ts_format)
+                ts, detected = _parse_timestamp(stamp, ts_format)
             except (ValueError, OverflowError) as exc:
                 rejects.append(Reject(row_no, str(exc)))
                 continue
             ts_format = ts_format or detected
             try:
-                close = float(row["close"])
-                if not math.isfinite(close):
-                    raise ValueError
+                close = float(c)
                 if have_ohlc:
-                    o = float(row["open"])
-                    h = float(row["high"])
-                    lo = float(row["low"])
-                    if not all(math.isfinite(v) for v in (o, h, lo)):
-                        raise ValueError
+                    open_, high, low = float(o), float(h), float(lo)
                 else:
-                    o = h = lo = close
+                    open_ = high = low = close
             except ValueError:
-                rejects.append(Reject(row_no, _price_error(row, have_ohlc)))
+                rejects.append(Reject(row_no, _price_error((c, o, h, lo))))
+                continue
+            if not (isfinite(close) and isfinite(open_) and isfinite(high)
+                    and isfinite(low)):
+                rejects.append(Reject(row_no, _price_error((c, o, h, lo))))
                 continue
             stamps.append(ts)
-            opens.append(o)
-            highs.append(h)
-            lows.append(lo)
+            opens.append(open_)
+            highs.append(high)
+            lows.append(low)
             closes.append(close)
 
     series = TimeSeries(asset_id, np.array(stamps, dtype=np.int64), opens,
                         highs, lows, closes)
     series = series.take(np.argsort(series.timestamp, kind="stable"))
-    return LoadResult(series=series, n_rows=n_rows, rejects=rejects)
+    return LoadResult(series=series, n_rows=row_no - 1, rejects=rejects)
 
 
 def clean(series: TimeSeries) -> tuple[TimeSeries, int]:

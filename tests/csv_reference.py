@@ -1,0 +1,189 @@
+"""csv.DictReader readers kept as references for the streaming ones, and a
+Hypothesis strategy for the CSV text they are compared on.
+
+`dict_load_csv` is `tsgan.data.load_csv` and `dict_read_generated_csv` is
+`tsgan.cli._read_generated_csv` as they were written over one DictReader
+dict per row; only their encoding is `utf-8-sig`, as in the streaming
+readers.
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+import math
+
+import numpy as np
+from hypothesis import strategies as st
+
+from tsgan.data import LoadResult, Reject, TimeSeries, _parse_timestamp
+from tsgan.errors import DataError
+
+# the UTF-8 byte-order mark spreadsheet exports write at a file's start
+BOM = "\ufeff".encode("utf-8")
+
+
+def _dict_price_error(row: dict, have_ohlc: bool) -> str:
+    for col in ("close", "open", "high", "low") if have_ohlc else ("close",):
+        try:
+            value = float(row[col])
+        except ValueError:
+            return f"{col} {row[col]!r} is not a number"
+        if not math.isfinite(value):
+            return f"{col} {row[col]!r} is not finite"
+    raise AssertionError("_dict_price_error called on a row with valid prices")
+
+
+def dict_load_csv(path, asset_id: str = "") -> LoadResult:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.DictReader(fh, restval="")
+        header = reader.fieldnames or []
+        for col in ("timestamp", "close"):
+            if col not in header:
+                raise DataError(f"missing required column {col!r} in {path}")
+        have_ohlc = {"open", "high", "low"} <= set(header)
+
+        stamps, opens, highs, lows, closes = [], [], [], [], []
+        rejects: list[Reject] = []
+        ts_format: str | None = None
+        n_rows = 0
+        for row_no, row in enumerate(reader, start=2):
+            n_rows += 1
+            try:
+                ts, detected = _parse_timestamp(row["timestamp"], ts_format)
+            except (ValueError, OverflowError) as exc:
+                rejects.append(Reject(row_no, str(exc)))
+                continue
+            ts_format = ts_format or detected
+            try:
+                close = float(row["close"])
+                if not math.isfinite(close):
+                    raise ValueError
+                if have_ohlc:
+                    o = float(row["open"])
+                    h = float(row["high"])
+                    lo = float(row["low"])
+                    if not all(math.isfinite(v) for v in (o, h, lo)):
+                        raise ValueError
+                else:
+                    o = h = lo = close
+            except ValueError:
+                rejects.append(Reject(row_no, _dict_price_error(row, have_ohlc)))
+                continue
+            stamps.append(ts)
+            opens.append(o)
+            highs.append(h)
+            lows.append(lo)
+            closes.append(close)
+
+    series = TimeSeries(asset_id, np.array(stamps, dtype=np.int64), opens,
+                        highs, lows, closes)
+    series = series.take(np.argsort(series.timestamp, kind="stable"))
+    return LoadResult(series=series, n_rows=n_rows, rejects=rejects)
+
+
+_GENERATED_COLUMNS = ("real_close", "generated_close")
+
+
+def dict_read_generated_csv(path):
+    real, fake = [], []
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.DictReader(fh, restval="")
+        if reader.fieldnames is None or \
+                not set(_GENERATED_COLUMNS) <= set(reader.fieldnames):
+            raise DataError(f"{path} lacks real_close/generated_close columns")
+        try:
+            for row in reader:
+                real.append(float(row["real_close"]))
+                fake.append(float(row["generated_close"]))
+        except ValueError:
+            raise _dict_cell_error(path, len(fake) + 1, row) from None
+    if not real:
+        raise DataError(f"{path} has no data rows")
+    columns = np.array(real), np.array(fake)
+    bad = np.argwhere(~np.isfinite(np.column_stack(columns)))
+    if bad.size:
+        r, q = bad[0]
+        raise DataError(f"{path} data row {r + 1}: {_GENERATED_COLUMNS[q]} "
+                        f"'{columns[q][r]}' is not finite")
+    return columns
+
+
+def _dict_cell_error(path, row_number: int, row: dict) -> DataError:
+    for name in _GENERATED_COLUMNS:
+        try:
+            float(row[name])
+        except ValueError:
+            return DataError(f"{path} data row {row_number}: {name} "
+                             f"{row[name]!r} is not a number")
+    raise AssertionError("_dict_cell_error called on a row of numbers")
+
+
+def outcome(read, path):
+    """What `read(path)` gives: ("ok", result) or ("raised", type, text)."""
+    try:
+        return ("ok", read(path))
+    except Exception as exc:  # noqa: BLE001 - any difference must show
+        return ("raised", type(exc), str(exc))
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape \
+        and a.tobytes() == b.tobytes()
+
+
+EPOCH_STAMPS = ["1647871200", "1647871260.5", "-86400.75", "0", "1e20"]
+RFC3339_STAMPS = ["2022-03-21T14:00:00Z", "2022-03-21T15:01:00+01:00",
+                  "2022-03-21T14:02:00", "2022-03-21 14:03:00.25+00:00",
+                  "0001-01-01T00:30:00+01:00"]
+PRICES = ["1.5", "2", "100.25", "0.5", "3e2", "-1", "0", " 2.5 ", "1_0"]
+BAD_PRICES = ["", "nan", "NaN", "inf", "-inf", "Infinity", "abc", "1,5",
+              "2\n3", '"q"']
+# any cell at all, including ones csv must quote
+CELLS = st.one_of(
+    st.sampled_from(EPOCH_STAMPS + RFC3339_STAMPS + PRICES + BAD_PRICES
+                    + ["not-a-time", "4\r\n5"]),
+    st.text(alphabet=st.characters(blacklist_categories=("Cs",)),
+            max_size=6),
+)
+
+
+@st.composite
+def csv_text(draw, names, required):
+    """CSV text. Seven times in eight its header holds the
+    `required` names and each other name of `names` with odds 3 in 4, some
+    of them repeated, in any order; else any list of `names`. Rows may be
+    blank, short or long, each ended by \\n or \\r\\n. Most cells fit
+    their column: a stamp under "timestamp" (epoch, RFC 3339 or mixed, one
+    style a file), a price elsewhere, one in ten or one in two of them bad.
+    """
+    if draw(st.integers(0, 7)):
+        header = [name for name in names
+                  if name in required or draw(st.integers(0, 3))]
+        header += draw(st.lists(st.sampled_from(names), max_size=3))
+        header = draw(st.permutations(header))
+    else:
+        header = draw(st.lists(st.sampled_from(names), max_size=5))
+    stamps = st.sampled_from(draw(st.sampled_from(
+        [EPOCH_STAMPS, RFC3339_STAMPS, EPOCH_STAMPS + RFC3339_STAMPS])))
+    odds = draw(st.sampled_from([2, 10]))
+    prices = st.integers(1, odds).flatmap(
+        lambda i: st.sampled_from(PRICES if i > 1 else BAD_PRICES))
+    rows = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["any", "short", "full", "long"]))
+        if kind == "any":
+            rows.append(draw(st.lists(CELLS, max_size=8)))
+            continue
+        cells = [draw(stamps if name == "timestamp" else prices)
+                 for name in header]
+        if kind == "short":  # may leave a blank line
+            cells = cells[:draw(st.integers(0, len(cells)))]
+        elif kind == "long":
+            cells += draw(st.lists(CELLS, min_size=1, max_size=3))
+        rows.append(cells)
+    buf = io.StringIO()
+    for cells in [header, *rows]:
+        csv.writer(buf, lineterminator=draw(st.sampled_from(["\n", "\r\n"]))) \
+            .writerow(cells)
+    return buf.getvalue()

@@ -13,7 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import tsgan
-from tsgan.cli import main
+from csv_reference import (BOM, csv_text, dict_read_generated_csv, outcome,
+                           same_bits)
+from tsgan.cli import _read_generated_csv, main
 
 
 @pytest.fixture
@@ -298,6 +300,14 @@ def _damage(doc, case):
         m["gen.lstm.W_zf"] = m.pop("gen.lstm.W")
     elif case == "adam_v_shape":
         doc["adam_d"]["v"]["disc.0.weights"] = _block((3, 3))
+    elif case == "rng_state_garbage":
+        doc["rng_state"] = "garbage"
+    elif case == "rng_state_empty":
+        doc["rng_state"] = {}
+    elif case == "rng_state_mt19937":
+        state = np.random.MT19937(0).state
+        state["state"]["key"] = state["state"]["key"].tolist()
+        doc["rng_state"] = state
     else:
         raise ValueError(case)
 
@@ -308,7 +318,8 @@ class TestCheckpointValidation:
     @pytest.mark.parametrize("case", [
         "foreign_format", "version_1", "version_3", "missing_top_key",
         "missing_config_key", "missing_block_field", "param_name",
-        "param_shape", "adam_m_name", "adam_v_shape"])
+        "param_shape", "adam_m_name", "adam_v_shape", "rng_state_garbage",
+        "rng_state_empty", "rng_state_mt19937"])
     def test_damaged_checkpoint_exit_2(self, price_csv, tmp_path, capsys,
                                        case):
         out = tmp_path / "run"
@@ -324,6 +335,8 @@ class TestCheckpointValidation:
         assert rc == 2
         assert "Traceback" not in err
         assert err.startswith("data error:")
+        if case.startswith("rng_state"):
+            assert "rng_state" in err
 
     def test_not_json_exit_2(self, price_csv, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -386,6 +399,34 @@ class TestEvaluate:
         assert "Traceback" not in err
         assert f"data row 2: {column} {reason}" in err
         assert not (tmp_path / "m.json").exists()
+
+    def test_blank_line_is_not_a_data_row(self, tmp_path, capsys):
+        gen_csv = tmp_path / "g.csv"
+        gen_csv.write_text("timestamp,real_close,generated_close\n"
+                           "t0,100.0,100.5\n\nt1,101.0,x\n")
+        rc = main(["evaluate", "--input", str(gen_csv),
+                   "--out", str(tmp_path / "m.json")])
+        assert rc == 2
+        assert "data row 2: generated_close 'x' is not a number" in \
+            capsys.readouterr().err
+
+
+@given(csv_text(["timestamp", "real_close", "generated_close", "x"],
+                ("real_close", "generated_close")), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_read_generated_csv_matches_dict_reader(text, bom):
+    """The streaming reader gives what one DictReader dict per row gave:
+    bit-equal columns, or the same error."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "generated.csv"
+        path.write_bytes(BOM * bom + text.encode("utf-8"))
+        got = outcome(_read_generated_csv, path)
+        want = outcome(dict_read_generated_csv, path)
+    assert got[0] == want[0]
+    if got[0] == "raised":
+        assert got == want
+    else:
+        assert all(same_bits(a, b) for a, b in zip(got[1], want[1]))
 
 
 class TestPlot:
@@ -569,6 +610,46 @@ def test_row_order_does_not_change_analyze_or_clean(order):
     assert dropped_a == dropped_b > 0
     for col in ("timestamp", "open", "high", "low", "close"):
         np.testing.assert_array_equal(getattr(a, col), getattr(b, col))
+
+
+class TestByteOrderMark:
+    """A leading UTF-8 byte-order mark, as spreadsheet exports write it, is
+    skipped: each command writes what it writes for the file without it.
+    Both runs read the same path, so the manifest's input matches."""
+
+    @staticmethod
+    def run_both(src, body, argv, outputs, tmp_path):
+        written = []
+        for name, prefix in (("plain", b""), ("marked", BOM)):
+            src.write_bytes(prefix + body)
+            out = tmp_path / name
+            out.mkdir(parents=True)
+            assert main([a.format(out=out) for a in argv]) == 0
+            written.append([(out / f).read_bytes() for f in outputs])
+        assert written[0] == written[1]
+
+    def test_analyze(self, price_csv, tmp_path):
+        self.run_both(price_csv, price_csv.read_bytes(),
+                      ["analyze", "--input", str(price_csv),
+                       "--out", "{out}/vol.csv"], ["vol.csv"], tmp_path)
+
+    def test_train(self, price_csv, tmp_path):
+        body = price_csv.read_bytes() + b"not-a-time,1,2,1,1.5\n"
+        self.run_both(price_csv, body, train_args(price_csv, "{out}"),
+                      ["checkpoint.json", "losses.csv", "rejects.csv",
+                       "manifest.json"], tmp_path)
+
+    def test_evaluate_and_plot(self, tmp_path):
+        src = tmp_path / "generated.csv"
+        body = b"timestamp,real_close,generated_close\n" + b"".join(
+            b"t%d,%d.5,%d.25\n" % (i, 100 + i % 7, 101 - i % 5)
+            for i in range(30))
+        self.run_both(src, body, ["evaluate", "--input", str(src),
+                                  "--out", "{out}/m.json"], ["m.json"],
+                      tmp_path / "evaluate")
+        self.run_both(src, body, ["plot", "--input", str(src),
+                                  "--out", "{out}"], ["overlay.svg"],
+                      tmp_path / "plot")
 
 
 class TestSeedEnvFallback:

@@ -1,10 +1,13 @@
+import tempfile
 from datetime import datetime
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from csv_reference import BOM, csv_text, dict_load_csv, outcome, same_bits
 from tsgan import data
 from tsgan.errors import DataError
 
@@ -163,6 +166,58 @@ class TestLoadCsv:
         write_csv(out, [row(f"{t}+00:00", o, h, lo, c) for t, o, h, lo, c in
                         zip(stamps, s1.open, s1.high, s1.low, s1.close)])
         assert_same_series(data.load_csv(out).series, s1)
+
+    def test_repeated_header_name_reads_its_last_column(self, tmp_path):
+        p = tmp_path / "a.csv"
+        p.write_text("close,timestamp,close\n"
+                     "1.5,2022-03-21T14:00:00Z,2.5\n"
+                     "1.6,2022-03-21T14:01:00Z\n")
+        result = data.load_csv(p)
+        assert result.series.close.tolist() == [2.5]
+        assert [(r.row, r.reason) for r in result.rejects] == [
+            (3, "close '' is not a number")]
+
+    def test_blank_line_is_not_counted_in_row_numbers(self, tmp_path):
+        # the bad row is line 4 of the file and record 3
+        p = tmp_path / "a.csv"
+        p.write_text(CSV_HEADER + row("2022-03-21T14:00:00Z", 1, 2, 1, 1.5)
+                     + "\n" + row("2022-03-21T14:01:00Z", 1, 2, 1, "x"))
+        result = data.load_csv(p)
+        assert result.n_rows == 2
+        assert [(r.row, r.reason) for r in result.rejects] == [
+            (3, "close 'x' is not a number")]
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        rows = [row("2022-03-21T14:00:00Z", 1, 2, 1, 1.5)]
+        plain = write_csv(tmp_path / "a.csv", rows)
+        marked = tmp_path / "b.csv"
+        marked.write_bytes(BOM + plain.read_bytes())
+        assert_same_series(data.load_csv(marked).series,
+                           data.load_csv(plain).series)
+
+
+PRICE_NAMES = ["timestamp", "open", "high", "low", "close", "volume"]
+
+
+@given(csv_text(PRICE_NAMES, ("timestamp", "close")), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_load_csv_matches_dict_reader(text, bom):
+    """The streaming reader gives what one DictReader dict per row gave:
+    the same n_rows, rejects and bit-equal columns, or the same error."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "prices.csv"
+        path.write_bytes(BOM * bom + text.encode("utf-8"))
+        got, want = outcome(data.load_csv, path), outcome(dict_load_csv, path)
+    assert got[0] == want[0]
+    if got[0] == "raised":
+        assert got == want
+        return
+    got, want = got[1], want[1]
+    assert got.n_rows == want.n_rows
+    assert [(r.row, r.reason) for r in got.rejects] == \
+        [(r.row, r.reason) for r in want.rejects]
+    for a, b in zip(columns(got.series), columns(want.series)):
+        assert same_bits(a, b)
 
 
 def mkseries(bars):

@@ -513,6 +513,14 @@ class TestCheckpointRoundTrip:
         checkpoint.save(tmp_path / "b.json", b)
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
+    def test_reload_saves_back_byte_identical(self, tmp_path):
+        model = train(toy_config(epochs=1, seed=25), toy_pairs(seed=25),
+                      toy_scaler())
+        checkpoint.save(tmp_path / "a.json", model)
+        checkpoint.save(tmp_path / "b.json", checkpoint.load(tmp_path / "a.json"))
+        assert (tmp_path / "a.json").read_bytes() == \
+            (tmp_path / "b.json").read_bytes()
+
     def test_failed_save_keeps_previous_checkpoint(self, tmp_path,
                                                      monkeypatch):
         model = train(toy_config(epochs=1, seed=24), toy_pairs(seed=24),
