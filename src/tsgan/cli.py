@@ -239,8 +239,7 @@ def _read_generated_csv(path):
     finite is a DataError naming its data row (1 is the first row after
     the header; blank lines are not counted) and its column."""
     real, fake = [], []
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+    with data.open_csv(path) as reader:
         header = next(reader, [])
         if not set(_GENERATED_COLUMNS) <= set(header):
             raise DataError(f"{path} lacks real_close/generated_close columns")
@@ -289,8 +288,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    with open(args.input, newline="", encoding="utf-8-sig") as fh:
-        header = fh.readline().strip().split(",")
+    with data.open_csv(args.input) as reader:
+        header = next(reader, [])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if {"loss_d", "loss_g"} <= set(header):

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import math
 import operator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 
@@ -108,6 +109,22 @@ def _parse_timestamp(raw: str, fmt: str | None) -> tuple[int, str]:
     return (dt - _EPOCH) // _MICROSECOND, "rfc3339"
 
 
+@contextmanager
+def open_csv(path):
+    """A `csv.reader` over the UTF-8 file at `path`; a leading byte-order
+    mark is skipped. While it is open, a byte that is not UTF-8 or a
+    record `csv` refuses (a cell over its field size limit) is a DataError
+    naming the file."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            yield reader
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path} is not UTF-8 text ({exc.reason})") from None
+        except csv.Error as exc:
+            raise DataError(f"{path} line {reader.line_num}: {exc}") from None
+
+
 def read_columns(reader, header: list[str], names):
     """Stream the records of a `csv.reader` whose header row `header` has
     been read: each record as the tuple of its cells under `names` (two or
@@ -153,16 +170,15 @@ def load_csv(path, asset_id: str = "") -> LoadResult:
 
     Only timestamp and close are required; without all of open/high/low
     they are set to the close. Rows that fail to parse are collected into
-    the rejects report, never dropped silently. A leading UTF-8 byte-order
-    mark is skipped.
+    the rejects report, never dropped silently. The file is read through
+    `open_csv`.
     """
     isfinite = math.isfinite
     stamps, opens, highs, lows, closes = [], [], [], [], []
     rejects: list[Reject] = []
     ts_format: str | None = None
     row_no = 1  # row 1 is the header
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+    with open_csv(path) as reader:
         header = next(reader, [])
         for col in ("timestamp", "close"):
             if col not in header:

@@ -24,7 +24,7 @@ from .errors import DataError, NumericError
 from .nn import (INIT_SCHEMES, DenseLayer, LstmCell, LstmState,
                  LstmWorkspace, check_lstm_state, clip_global_norm,
                  dense_backward, dense_forward, lstm_backward,
-                 lstm_cache_rows, lstm_forward, lstm_step)
+                 lstm_cache_rows, lstm_forward, lstm_step, step_weights)
 from .optim import AdamState, adam_step, bce_with_logits, bce_with_logits_grad
 
 LN2 = float(np.log(2.0))
@@ -349,7 +349,7 @@ def synthesize_series(gen: Generator, scaler: scaling.ScalerParams,
         buf[:d] = normalized[:d]
         zs = rng.standard_normal((m, gen.noise_dim))  # as m (1, l) draws
         h, dt = gen.lstm.hidden_size, gen.workspace.dtype
-        W = gen.lstm.W.astype(dt, copy=False)
+        W = step_weights(gen.lstm.W, dt)
         s = np.zeros((h + 1 + gen.noise_dim, d), dt)
         z, p = s[:h], np.empty((4 * h, d), dt)
         c_prev, c = np.zeros((2, h, d), dt)

@@ -10,10 +10,12 @@ The LSTM cell carries no bias terms and keeps its four gates in one
 stacked weight matrix W (4h, h + in), so a step is the single matmul
 W @ [z_prev; x_t] into a gate-major (4h, k) block. `lstm_step` is that
 step on caller-owned buffers, the one copy of its math; lstm_forward
-loops over it. Trajectories live in an LstmWorkspace that is reused
-across calls of one shape; a forward cache is valid until the next
-forward on the same workspace. A forward-only pass, which keeps no
-cache, holds one step of gates and cell states.
+loops over it. It runs one tanh over the whole block, on a copy of W from
+`step_weights` whose f, i, o rows are halved, and maps those rows to the
+sigmoid by sigmoid(x) = (1 + tanh(x / 2)) / 2. Trajectories live in an
+LstmWorkspace that is reused across calls of one shape; a forward cache
+is valid until the next forward on the same workspace. A forward-only
+pass, which keeps no cache, holds one step of gates and cell states.
 The workspace's dtype is the dtype the cell computes in (the generator
 uses float32); weights, final states and gradients stay float64.
 """
@@ -35,7 +37,11 @@ _SIGMOID_CLAMP = {np.dtype(np.float64): (-709.0, 708.0),
 
 
 def sigmoid(x, out=None):
-    """Logistic function 1 / (1 + exp(-x)), the one used everywhere.
+    """Logistic function 1 / (1 + exp(-x)), for the BCE gradient.
+
+    The LSTM gates take the tanh form in `lstm_step` instead; this one
+    cannot, as its float64 tail stays above 0 down to -709, where
+    (1 + tanh(x / 2)) / 2 is 0 from about -38 on.
 
     Exactly 0.5 at 0. A float32 input is computed in float32, anything
     else in float64. Inputs are clamped to [-709, 708] (float64) or
@@ -241,21 +247,35 @@ def check_lstm_state(c, z) -> None:
         raise NumericError("non-finite LSTM state in forward pass")
 
 
+def step_weights(W, dtype) -> np.ndarray:
+    """The stacked W as lstm_step takes it: a fresh copy in `dtype` with
+    the f, i and o rows halved. Halving is a power-of-two scale, so it is
+    exact, and the copy never aliases W, whatever its dtype."""
+    W = np.array(W, dtype=dtype)
+    W[:3 * (W.shape[0] // 4)] *= 0.5
+    return W
+
+
 def lstm_step(W, s, p, c_prev, c, tc, z, ig):
     """One step on k batch columns, in place, in the buffers' dtype:
 
-        p = [f; i; o; g] = [sigmoid; sigmoid; sigmoid; tanh](W @ s)
+        p = [f; i; o; g] = [sigmoid; sigmoid; sigmoid; tanh](cell.W @ s)
         c = c_prev * f + i * g,  tc = tanh(c),  z = tc * o
 
-    with s = [z_prev; x_t] (h + in, k), p (4h, k), the rest (h, k) and ig
-    scratch. z may be s[:h]: the matmul has read s by then.
+    with W = step_weights(cell.W, dtype), s = [z_prev; x_t] (h + in, k),
+    p (4h, k), the rest (h, k) and ig scratch. One tanh covers all four
+    gates, as sigmoid(a) = (1 + tanh(a / 2)) / 2 and W's f, i, o rows give
+    a / 2. f, i and o saturate to exactly 0 or 1, and g to -1 or 1, with
+    no floating-point flag, so nothing is clamped. z may be s[:h]: the
+    matmul has read s by then.
     """
     np.matmul(W, s, out=p)
-    gates = p.reshape(4, -1, p.shape[1])
-    f, i, o, g = gates
-    fio = gates[:3]
-    sigmoid(fio, out=fio)
-    np.tanh(g, out=g)
+    np.tanh(p, out=p)
+    h = p.shape[0] // 4
+    fio = p[:3 * h]
+    fio *= 0.5
+    fio += 0.5
+    f, i, o, g = p.reshape(4, h, p.shape[1])
     np.multiply(f, c_prev, out=c)
     np.multiply(i, g, out=ig)
     c += ig
@@ -296,7 +316,7 @@ def lstm_forward(cell: LstmCell, xs, init: LstmState,
 
     # step t uses P[t % D], TC[t % D] and C[t % (D+1)] -> C[(t+1) % (D+1)]
     # (see LstmWorkspace): the cycles wrap only in a forward-only pass
-    W = cell.W.astype(ws.dtype, copy=False)
+    W = step_weights(cell.W, ws.dtype)
     for p, s, z, c_prev, c, tc in zip(
             cycle(P), S, S[1:, :h], cycle(C), cycle(chain(C[1:], C[:1])),
             cycle(TC)):

@@ -445,6 +445,19 @@ class TestSynthesize:
         ref = wavefront_reference(gen, scaler, closes, d, seed=m)
         np.testing.assert_array_equal(out, ref)
 
+    @pytest.mark.parametrize("mode", ["conditioned", "recursive"])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_leaves_lstm_weights_bit_identical(self, dtype, mode):
+        # both modes halve rows of a copy of the weights, never the weights
+        gen = Generator(toy_config(), np.random.default_rng(25))
+        gen.workspace = LstmWorkspace(dtype)
+        before = gen.lstm.W.copy()
+        closes = np.random.default_rng(26).uniform(90, 110, 30)
+        for _ in range(2):
+            synthesize_series(gen, scaling.fit(closes), closes,
+                              condition_dim=4, mode=mode)
+        assert gen.lstm.W.tobytes() == before.tobytes()
+
     def test_recursive_non_finite_state_raises(self):
         # the state check runs every tick, ahead of the head's own check
         gen = Generator(toy_config(), np.random.default_rng(23))

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tsgan import nn
 from tsgan.errors import NumericError
@@ -28,7 +30,7 @@ class TestActivations:
         assert 0.0 < lo <= hi <= 1.0
 
     def test_sigmoid_extremes_without_warnings(self):
-        # the gate kernel calls the same function in place on matmul output
+        # the BCE gradient's sigmoid, also in place (out=x)
         x = np.array([-1e4, -710.0, -709.0, 0.0, 709.0, 710.0, 1e4])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -280,6 +282,102 @@ class TestLstmForwardOnly:
         for got, want in zip(nn.lstm_backward(cell, new, dz),
                              nn.lstm_backward(cell, fresh, dz)):
             np.testing.assert_array_equal(got, want)
+
+
+class TestStepWeights:
+    """lstm_step reads W with its f, i, o rows halved, from a fresh copy."""
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_halves_sigmoid_rows_of_a_fresh_copy(self, dtype):
+        cell = make_cell(3, 4, np.random.default_rng(30))
+        W = nn.step_weights(cell.W, dtype)
+        assert W.dtype == dtype and not np.shares_memory(W, cell.W)
+        cast = cell.W.astype(dtype)
+        np.testing.assert_array_equal(W[:12], cast[:12] / 2)
+        np.testing.assert_array_equal(W[12:], cast[12:])
+
+    @pytest.mark.parametrize("keep_cache", [True, False])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_lstm_forward_leaves_cell_weights_bit_identical(self, dtype,
+                                                            keep_cache):
+        # on a float64 workspace a cast without a copy would be W itself,
+        # and halving its rows would halve the cell's weights
+        rng = np.random.default_rng(31)
+        cell = make_cell(3, 4, rng)
+        before = cell.W.copy()
+        for _ in range(2):
+            nn.lstm_forward(cell, rng.standard_normal((5, 2, 3)),
+                            nn.LstmState.zeros(4, 2), nn.LstmWorkspace(dtype),
+                            keep_cache)
+        assert cell.W.tobytes() == before.tobytes()
+
+
+# largest |difference| from the oracle, per workspace dtype: over every
+# step, each from the kernel's own previous state (gates, c and z), and
+# for float64 over the final state of the whole fold. Seen at up to 1.2e-5
+# (float32 step), 3e-14 (float64 step) and 1.2e-11 (float64 fold) over
+# 10,000-20,000 draws of the strategy below.
+_STEP_ATOL = {np.float64: 1e-12, np.float32: 2e-4}
+_FOLD_ATOL = 1e-9
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), T=st.integers(1, 8),
+       k=st.integers(1, 8), h=st.integers(1, 8), n_in=st.integers(1, 8),
+       scale=st.floats(0.0, 50.0))
+def test_gates_at_saturation_match_oracle(dtype, seed, T, k, h, n_in, scale):
+    """Weights up to +-50 put most pre-activations deep in the gates' flat
+    tails, where the tanh form saturates to exactly 0 or 1. The float32
+    fold is not compared: a gate near its midpoint has slope up to 1, so
+    with weights this large each step can multiply the float32 rounding
+    carried in from the step before by 10 or more."""
+    rng = np.random.default_rng(seed)
+    cell = nn.LstmCell(scale * rng.uniform(-1, 1, (4 * h, h + n_in)))
+    xs = rng.standard_normal((T, k, n_in))
+    init = nn.LstmState(c=rng.standard_normal((k, h)),
+                        z=rng.uniform(-1, 1, (k, h)))
+    ws = nn.LstmWorkspace(dtype)
+    got, _ = nn.lstm_forward(cell, xs, init, ws)
+    atol = _STEP_ATOL[dtype]
+    with np.errstate(over="ignore"):  # the oracle's exp(-x) past -709
+        for t in range(T):
+            prev = nn.LstmState(c=ws.C[t].T.astype(np.float64),
+                                z=ws.S[t, :h].T.astype(np.float64))
+            want, gates = lstm_step(cell, xs[t], prev)
+            np.testing.assert_allclose(ws.P[t].T, np.hstack(gates),
+                                       rtol=0, atol=atol)
+            np.testing.assert_allclose(ws.C[t + 1].T, want.c, rtol=0,
+                                       atol=atol)
+            np.testing.assert_allclose(ws.S[t + 1, :h].T, want.z, rtol=0,
+                                       atol=atol)
+        if dtype == np.float64:
+            want = lstm_fold(cell, xs, init)
+            np.testing.assert_allclose(got.c, want.c, rtol=0, atol=_FOLD_ATOL)
+            np.testing.assert_allclose(got.z, want.z, rtol=0, atol=_FOLD_ATOL)
+
+
+def test_float32_pre_activations_of_1e4_raise_no_flag():
+    # the step has no clamp: tanh takes +-1e4 (+-5e3 on the halved rows)
+    # to exactly +-1, so every gate is exactly 0 or 1 and no ufunc of the
+    # step overflows or underflows
+    h, T = 3, 4
+    rng = np.random.default_rng(32)
+    W = np.zeros((4 * h, h + 1))
+    W[:, h] = 1e4 * rng.choice([-1.0, 1.0], 4 * h)
+    cell = nn.LstmCell(W)
+    xs = np.array([1.0, -1.0, -1.0, 1.0]).reshape(T, 1, 1)
+    init = nn.LstmState(c=np.array([[0.5, -2.0, 3.0]]), z=np.zeros((1, h)))
+    ws = nn.LstmWorkspace(np.float32)
+    with np.errstate(all="raise"):
+        state, _ = nn.lstm_forward(cell, xs, init, ws)
+    assert np.all(np.isfinite(state.c)) and np.all(np.isfinite(state.z))
+    assert set(np.unique(ws.P[:, :3 * h])) <= {0.0, 1.0}
+    assert set(np.unique(ws.P[:, 3 * h:])) <= {-1.0, 1.0}
+    with np.errstate(over="ignore"):
+        want = lstm_fold(cell, xs, init)
+    np.testing.assert_array_equal(state.c, want.c)
+    np.testing.assert_allclose(state.z, want.z, rtol=0, atol=1e-7)
 
 
 class TestLstmBackward:
