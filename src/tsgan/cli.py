@@ -31,6 +31,7 @@ MMAP_THRESHOLD = 2 << 20
 # glibc's mallopt parameter numbers (malloc.h)
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
+_M_ARENA_MAX = -8
 
 
 def _fix_mmap_threshold() -> None:
@@ -44,7 +45,10 @@ def _fix_mmap_threshold() -> None:
     runs several commands keeps tens of MB of holes there, laid out by the
     exact order of every earlier allocation, and its peak RSS jumps between
     levels ~20 MB apart from one run to the next. Fixed thresholds keep the
-    heap to small blocks. A no-op where the C library has no mallopt.
+    heap to small blocks. One arena serves every thread: by default glibc
+    gives each thread of conditioned synthesis an arena of its own, whose
+    free space adds to the peak. A no-op where the C library has no
+    mallopt.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
@@ -53,6 +57,7 @@ def _fix_mmap_threshold() -> None:
     mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
     mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD)
     mallopt(_M_TRIM_THRESHOLD, 2 * MMAP_THRESHOLD)
+    mallopt(_M_ARENA_MAX, 1)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -9,10 +9,19 @@ Training alternates one discriminator step and one generator step per
 mini-batch, both fed by one generator pass; the discriminator sees its k
 real and k fake rows in one 2k-row pass. All randomness flows through a
 single seeded Generator so runs are bit-reproducible.
+
+Conditioned synthesis runs its chunks of windows on as many threads as
+the BLAS has, each with its own LSTM workspace, while the BLAS is pinned
+to one thread. A chunk's values do not depend on which thread runs it,
+so the output is the same bytes for any number of threads.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import threading
 from dataclasses import dataclass, field
 from numbers import Integral, Real
 
@@ -29,7 +38,12 @@ from .optim import AdamState, adam_step, bce_with_logits, bce_with_logits_grad
 
 LN2 = float(np.log(2.0))
 # conditioned synthesis runs the generator over this many windows a pass
-SYNTH_CHUNK = 1024
+SYNTH_CHUNK = 512
+# per OpenBLAS build, its (get, set) thread-count functions, first found wins
+_OPENBLAS_THREADS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"))
 
 
 @dataclass
@@ -113,11 +127,14 @@ class Generator:
                 "gen.head.weights": self.head.weights,
                 "gen.head.bias": self.head.bias}
 
-    def forward(self, conditions: np.ndarray, z: np.ndarray, keep_cache=True):
+    def forward(self, conditions: np.ndarray, z: np.ndarray, keep_cache=True,
+                workspace: LstmWorkspace | None = None):
         """Generate one scalar per row of `conditions` using noise rows `z`.
 
         Returns (values (k,), cache or None). keep_cache=False runs the
-        LSTM forward-only, on one step of gate and cell buffers.
+        LSTM forward-only, on one step of gate and cell buffers. The LSTM
+        runs in `workspace`, the generator's own when None; a thread that
+        passes its own may run alongside passes on other workspaces.
         """
         k, d = conditions.shape
         xs = np.empty((d, k, 1 + self.noise_dim))
@@ -125,7 +142,7 @@ class Generator:
         xs[:, :, 1:] = z
         state, lstm_cache = lstm_forward(
             self.lstm, xs, LstmState.zeros(self.lstm.hidden_size, k),
-            self.workspace, keep_cache)
+            self.workspace if workspace is None else workspace, keep_cache)
         out, head_cache = dense_forward(self.head, state.z)
         xhat = out[:, 0]
         if not np.all(np.isfinite(xhat)):
@@ -309,12 +326,106 @@ def train(config: TrainConfig, pairs: PairSet, scaler: scaling.ScalerParams,
                         rng_state=rng.bit_generator.state)
 
 
+@functools.cache
+def _openblas():
+    """The (get, set) thread-count functions of the OpenBLAS that NumPy
+    loaded, found once through /proc/self/maps; None if there is none."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = sorted({line.split()[-1] for line in fh
+                           if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for lib in libs:
+        try:
+            handle = ctypes.CDLL(lib)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREADS:
+            get = getattr(handle, get_name, None)
+            put = getattr(handle, set_name, None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the block with the BLAS on one thread, restoring its count after.
+
+    Yields the count it had: the number of threads the block may run
+    itself. 1 when the BLAS is not an OpenBLAS this can find.
+    """
+    blas = _openblas()
+    if blas is None:
+        yield 1
+        return
+    get, put = blas
+    threads = get()
+    put(1)
+    try:
+        yield threads
+    finally:
+        put(threads)
+
+
+def _conditioned(gen: Generator, windows: np.ndarray, zs: np.ndarray,
+                 workers: int) -> np.ndarray:
+    """Generator values for `windows` with noise rows `zs`, SYNTH_CHUNK rows
+    a pass, on `workers` threads, the calling thread one of them.
+
+    Threads take chunks in order, each into its own workspace of the
+    generator's dtype, and write disjoint slices of the output. After a
+    chunk fails no more are started; the error of the earliest failing
+    chunk is raised here. Every chunk before it has been taken, so that is
+    the error a sequential loop would raise.
+    """
+    m = windows.shape[0]
+    out = np.empty(m)
+    starts = iter(range(0, m, SYNTH_CHUNK))
+    errors = {}
+    lock = threading.Lock()
+
+    def work():
+        workspace = LstmWorkspace(gen.workspace.dtype)
+        while True:
+            with lock:
+                start = None if errors else next(starts, None)
+            if start is None:
+                return
+            rows = slice(start, start + SYNTH_CHUNK)
+            try:
+                out[rows], _ = gen.forward(windows[rows], zs[rows],
+                                           keep_cache=False,
+                                           workspace=workspace)
+            except Exception as exc:  # re-raised on the calling thread
+                with lock:
+                    errors[start] = exc
+
+    threads = [threading.Thread(target=work) for _ in range(workers - 1)]
+    for thread in threads:
+        thread.start()
+    try:
+        work()
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[min(errors)]
+    return out
+
+
 def synthesize_series(gen: Generator, scaler: scaling.ScalerParams,
                       real_closes: np.ndarray, condition_dim: int,
                       mode: str = "conditioned", seed: int = 0) -> np.ndarray:
     """Generate one value per real target (indices d..N-1) at price scale.
 
     conditioned: every window is the real history (one-step, teacher-forced).
+    The windows run SYNTH_CHUNK at a time, on as many threads as the BLAS
+    has, with the BLAS on one thread meanwhile; the values are the same
+    bytes as one chunk after another on the calling thread.
     recursive: after a real warm-up window, windows are previously
     generated values; a stress-test mode.
     """
@@ -328,13 +439,10 @@ def synthesize_series(gen: Generator, scaler: scaling.ScalerParams,
     m = n - d
 
     if mode == "conditioned":
-        out = np.empty(m)
-        for start in range(0, m, SYNTH_CHUNK):
-            stop = min(start + SYNTH_CHUNK, m)
-            windows = np.lib.stride_tricks.sliding_window_view(
-                normalized, d)[start:stop]
-            z = rng.standard_normal((stop - start, gen.noise_dim))
-            out[start:stop], _ = gen.forward(windows, z, keep_cache=False)
+        windows = np.lib.stride_tricks.sliding_window_view(normalized, d)[:m]
+        zs = rng.standard_normal((m, gen.noise_dim))  # as per-chunk draws
+        with _one_blas_thread() as workers:
+            out = _conditioned(gen, windows, zs, workers)
     elif mode == "recursive":
         # Window w is buf[w : w+d]: the real warm-up values, then each
         # generated value in turn. Its step j runs at tick w+j, so at tick

@@ -29,41 +29,6 @@ import numpy as np
 
 from .errors import NumericError
 
-# per dtype, the clamp that keeps exp(-x) finite and a normal number:
-# exp overflows past 709.78 and leaves the normal range past -708.4 in
-# float64; both happen at +-87.3 and 88.72 in float32
-_SIGMOID_CLAMP = {np.dtype(np.float64): (-709.0, 708.0),
-                  np.dtype(np.float32): (-87.0, 87.0)}
-
-
-def sigmoid(x, out=None):
-    """Logistic function 1 / (1 + exp(-x)), for the BCE gradient.
-
-    The LSTM gates take the tanh form in `lstm_step` instead; this one
-    cannot, as its float64 tail stays above 0 down to -709, where
-    (1 + tanh(x / 2)) / 2 is 0 from about -38 on.
-
-    Exactly 0.5 at 0. A float32 input is computed in float32, anything
-    else in float64. Inputs are clamped to [-709, 708] (float64) or
-    [-87, 87] (float32), where exp(-x) neither overflows nor underflows.
-    Below the floor the result is sigmoid(floor): ~1.6e-38 in float32, a
-    normal number, so float32 raises no floating-point flag at all, and
-    ~1.2e-308 in float64. Above the ceiling it is 1.0, as it already is
-    from about 37 (float64) or 17 (float32) on. With `out` (which may be
-    `x`) the result is written there. A 0-d input returns a float.
-    """
-    x = np.asarray(x)
-    if x.dtype not in _SIGMOID_CLAMP:
-        x = x.astype(np.float64)
-    if out is None:
-        out = np.empty_like(x)
-    np.clip(x, *_SIGMOID_CLAMP[x.dtype], out=out)
-    np.negative(out, out=out)
-    np.exp(out, out=out)
-    out += 1.0
-    np.reciprocal(out, out=out)
-    return out if out.ndim else float(out)
-
 
 def _apply_activation(name: str, pre: np.ndarray) -> np.ndarray:
     if name == "relu":

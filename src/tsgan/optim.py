@@ -13,7 +13,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NumericError
-from .nn import sigmoid
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function 1 / (1 + exp(-x)) of a float64 array.
+
+    Exactly 0.5 at 0. x is clamped to [-709, 708], where exp(-x) neither
+    overflows nor leaves the normal range, so the result stays above 0 down
+    to -709 and is sigmoid(-709) ~1.2e-308 below; above, it is 1.0, as it
+    is from about 37 on. nn.lstm_step's tanh form cannot serve here: it
+    is 0 from about -38 on.
+    """
+    return 1.0 / (1.0 + np.exp(-np.clip(x, -709.0, 708.0)))
 
 
 def _check_labels(labels: np.ndarray) -> None:
@@ -35,7 +46,7 @@ def bce_with_logits_grad(logits, labels):
     x = np.asarray(logits, dtype=np.float64)
     y = np.broadcast_to(np.asarray(labels, dtype=np.float64), x.shape)
     _check_labels(y)
-    return sigmoid(x) - y
+    return _sigmoid(x) - y
 
 
 @dataclass

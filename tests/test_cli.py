@@ -245,8 +245,8 @@ class TestGenerate:
         assert err.startswith("numeric error:")
         assert "Traceback" not in err
 
-    def test_recursive_non_finite_state_exit_3(self, price_csv, run_dir,
-                                               tmp_path, capsys):
+    @staticmethod
+    def _generate_from_nan_lstm(price_csv, run_dir, tmp_path, capsys, mode):
         doc = json.loads((run_dir / "checkpoint.json").read_text())
         shape = doc["params"]["gen.lstm.W"]["shape"]
         doc["params"]["gen.lstm.W"] = _block(shape, np.nan)
@@ -255,12 +255,22 @@ class TestGenerate:
         capsys.readouterr()
         rc = main(["generate", "--checkpoint", str(bad), "--input",
                    str(price_csv), "--out", str(tmp_path / "g.csv"),
-                   "--mode", "recursive"])
+                   "--mode", mode])
         err = capsys.readouterr().err
         assert rc == 3
         assert err.startswith("numeric error:")
         assert "non-finite LSTM state" in err
         assert "Traceback" not in err
+
+    def test_recursive_non_finite_state_exit_3(self, price_csv, run_dir,
+                                               tmp_path, capsys):
+        self._generate_from_nan_lstm(price_csv, run_dir, tmp_path, capsys,
+                                     "recursive")
+
+    def test_conditioned_non_finite_state_exit_3(self, price_csv, run_dir,
+                                                 tmp_path, capsys):
+        self._generate_from_nan_lstm(price_csv, run_dir, tmp_path, capsys,
+                                     "conditioned")
 
     def test_bad_checkpoint_exit_2(self, price_csv, tmp_path):
         bad = tmp_path / "bad.json"

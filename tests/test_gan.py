@@ -1,10 +1,13 @@
+import contextlib
 import copy
 import math
+import sys
+import time
 
 import numpy as np
 import pytest
 
-from tsgan import checkpoint, data, scaling
+from tsgan import checkpoint, data, gan, scaling
 from tsgan.errors import DataError, NumericError
 from tsgan.gan import (Discriminator, Generator, TrainConfig, synthesize_series,
                        train, train_discriminator_step, train_generator_step)
@@ -59,6 +62,24 @@ def two_pass_d_step(disc, conditions, targets, fake, adam_d, clip_norm=5.0):
         clip_global_norm(list(grads.values()), clip_norm)
     adam_step(disc.params(), grads, adam_d)
     return loss
+
+
+def conditioned_reference(gen, scaler, real_closes, d, seed):
+    """Conditioned synthesis as one chunk after another on the calling
+    thread, each chunk drawing its own noise rows, in the generator's own
+    workspace."""
+    normalized = scaling.transform(np.asarray(real_closes, dtype=np.float64),
+                                   scaler)
+    rng = np.random.default_rng(seed)
+    m = normalized.shape[0] - d
+    out = np.empty(m)
+    for start in range(0, m, gan.SYNTH_CHUNK):
+        stop = min(start + gan.SYNTH_CHUNK, m)
+        windows = np.lib.stride_tricks.sliding_window_view(
+            normalized, d)[start:stop]
+        z = rng.standard_normal((stop - start, gen.noise_dim))
+        out[start:stop], _ = gen.forward(windows, z, keep_cache=False)
+    return scaling.inverse_transform(out, scaler)
 
 
 def recursive_reference(gen, scaler, real_closes, d, seed):
@@ -497,6 +518,113 @@ class TestSynthesize:
             synthesize_series(gen, toy_scaler(),
                               np.random.default_rng(20).uniform(90, 110, 30),
                               condition_dim=4, mode="oracle")
+
+
+class TestThreadedSynthesis:
+    """Conditioned synthesis runs its chunks on as many threads as the BLAS
+    has; these tests fix that count with a stand-in for the BLAS pin."""
+
+    @staticmethod
+    def pin_workers(monkeypatch, workers):
+        @contextlib.contextmanager
+        def pin():
+            yield workers
+        monkeypatch.setattr(gan, "_one_blas_thread", pin)
+
+    @pytest.mark.parametrize("m", [gan.SYNTH_CHUNK - 1, gan.SYNTH_CHUNK,
+                                   2 * gan.SYNTH_CHUNK + 7])
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bit_equal_to_sequential_reference(self, monkeypatch, dtype,
+                                               workers, m):
+        self.pin_workers(monkeypatch, workers)
+        d = 60
+        gen = Generator(TrainConfig(condition_dim=d), np.random.default_rng(m))
+        gen.workspace = LstmWorkspace(dtype)
+        closes = 100 + np.cumsum(np.random.default_rng(m).standard_normal(d + m))
+        scaler = scaling.fit(closes)
+        generation = gen.workspace.generation
+        out = synthesize_series(gen, scaler, closes, condition_dim=d, seed=m)
+        # the chunks ran in workspaces of their own
+        assert gen.workspace.generation == generation
+        ref = conditioned_reference(gen, scaler, closes, d, seed=m)
+        assert out.tobytes() == ref.tobytes()
+
+    def test_more_threads_than_cores_lose_no_chunk(self, monkeypatch):
+        # 4-row chunks, 8 threads and a short switch interval: a chunk
+        # taken twice or never would change or leave unset some values
+        self.pin_workers(monkeypatch, 8)
+        monkeypatch.setattr(gan, "SYNTH_CHUNK", 4)
+        gen = Generator(toy_config(), np.random.default_rng(30))
+        closes = np.random.default_rng(31).uniform(90, 110, 207)
+        scaler = scaling.fit(closes)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            out = synthesize_series(gen, scaler, closes, condition_dim=4)
+        finally:
+            sys.setswitchinterval(interval)
+        ref = conditioned_reference(gen, scaler, closes, 4, seed=0)
+        assert out.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_non_finite_state_raises_like_the_reference(self, monkeypatch,
+                                                        workers):
+        self.pin_workers(monkeypatch, workers)
+        gen = Generator(toy_config(), np.random.default_rng(23))
+        gen.lstm.W[0, 0] = np.nan
+        closes = np.random.default_rng(24).uniform(90, 110,
+                                                   3 * gan.SYNTH_CHUNK)
+        scaler = scaling.fit(closes)
+        with pytest.raises(NumericError) as threaded:
+            synthesize_series(gen, scaler, closes, condition_dim=4)
+        with pytest.raises(NumericError) as reference:
+            conditioned_reference(gen, scaler, closes, 4, seed=0)
+        assert str(threaded.value) == str(reference.value)
+        assert "non-finite LSTM state" in str(threaded.value)
+
+    def test_earliest_failing_chunk_is_raised(self, monkeypatch):
+        # chunk 1 fails late, after chunk 3 has failed on the other thread;
+        # a sequential loop would stop at chunk 1, so its error is raised
+        self.pin_workers(monkeypatch, 2)
+        c = gan.SYNTH_CHUNK
+        gen = Generator(toy_config(), np.random.default_rng(32))
+        forward = gen.forward
+
+        def failing_forward(conditions, z, keep_cache=True, workspace=None):
+            start = int(conditions[0, 0])  # the closes are 0, 1, 2, ...
+            if start == c:
+                time.sleep(0.2)
+            if start in (c, 3 * c):
+                raise NumericError(f"chunk at {start}")
+            return forward(conditions, z, keep_cache, workspace)
+
+        monkeypatch.setattr(gen, "forward", failing_forward)
+        closes = np.arange(5 * c + 4, dtype=np.float64)
+        scaler = scaling.ScalerParams(mean=0.0, stddev=1.0, n_fitted=2)
+        with pytest.raises(NumericError, match=f"^chunk at {c}$"):
+            synthesize_series(gen, scaler, closes, condition_dim=4)
+
+    def test_blas_pin_restores_the_thread_count(self):
+        blas = gan._openblas()
+        if blas is None:
+            pytest.skip("NumPy's BLAS is not an OpenBLAS found in the maps")
+        get, _ = blas
+        before = get()
+        with gan._one_blas_thread() as workers:
+            assert workers == before
+            assert get() == 1
+        assert get() == before
+        gen = Generator(toy_config(), np.random.default_rng(33))
+        closes = np.random.default_rng(34).uniform(90, 110,
+                                                   2 * gan.SYNTH_CHUNK)
+        synthesize_series(gen, scaling.fit(closes), closes, condition_dim=4)
+        assert get() == before
+        gen.lstm.W[0, 0] = np.nan
+        with pytest.raises(NumericError):
+            synthesize_series(gen, scaling.fit(closes), closes,
+                              condition_dim=4)
+        assert get() == before
 
 
 class TestCheckpointRoundTrip:
