@@ -273,7 +273,6 @@ def train(config: TrainConfig, pairs: PairSet, scaler: scaling.ScalerParams,
 
     Pairs are reshuffled every epoch with the run RNG; the last partial
     batch is dropped so every update sees exactly `batch_size` samples.
-    The BLAS runs on one thread meanwhile, its count restored after.
     """
     if len(pairs) == 0:
         raise DataError("no training pairs")
@@ -292,40 +291,34 @@ def train(config: TrainConfig, pairs: PairSet, scaler: scaling.ScalerParams,
     if n_batches == 0:
         raise DataError(f"fewer pairs ({len(pairs)}) than one batch ({k})")
 
-    # Every product here is a few hundred rows at most. Split over BLAS
-    # threads, each waits on the others' wake-ups: on a 2-core VM whose
-    # second core had gone idle, the first batches ran 40x slower; warm,
-    # one thread trains as fast, to the same bits.
-    with _one_blas_thread():
-        for epoch in range(1, config.epochs + 1):
-            perm = rng.permutation(len(pairs))
-            d_losses = np.empty(n_batches)
-            g_losses = np.empty(n_batches)
-            for b in range(n_batches):
-                idx = perm[b * k:(b + 1) * k]
-                cond = pairs.conditions[idx]
-                target = pairs.targets[idx]
-                try:
-                    # one double-width generator pass serves both steps: rows
-                    # :k are the D step's fake batch (no gradient), rows k:
-                    # the G step's. G's output doesn't depend on D, so the D
-                    # step's update leaves the G step's pass valid.
-                    z2 = rng.standard_normal((2 * k, gen.noise_dim))
-                    fake_d, fake_g, gen_cache = gen.forward_pair(cond, z2)
-                    d_losses[b] = train_discriminator_step(
-                        disc, cond, target, fake_d, adam_d, config.clip_norm)
-                    g_losses[b] = train_generator_step(
-                        gen, disc, cond, fake_g, gen_cache, adam_g,
-                        config.clip_norm)
-                except NumericError as exc:
-                    raise NumericError(
-                        f"{exc} (epoch {epoch}, batch {b})") from None
-            history.d_batch.extend(d_losses.tolist())
-            history.g_batch.extend(g_losses.tolist())
-            history.d_epoch.append(float(d_losses.mean()))
-            history.g_epoch.append(float(g_losses.mean()))
-            if progress is not None:
-                progress(epoch, history.d_epoch[-1], history.g_epoch[-1])
+    for epoch in range(1, config.epochs + 1):
+        perm = rng.permutation(len(pairs))
+        d_losses = np.empty(n_batches)
+        g_losses = np.empty(n_batches)
+        for b in range(n_batches):
+            idx = perm[b * k:(b + 1) * k]
+            cond = pairs.conditions[idx]
+            target = pairs.targets[idx]
+            try:
+                # one double-width generator pass serves both steps: rows
+                # :k are the D step's fake batch (no gradient), rows k:
+                # the G step's. G's output doesn't depend on D, so the D
+                # step's update leaves the G step's pass valid.
+                z2 = rng.standard_normal((2 * k, gen.noise_dim))
+                fake_d, fake_g, gen_cache = gen.forward_pair(cond, z2)
+                d_losses[b] = train_discriminator_step(
+                    disc, cond, target, fake_d, adam_d, config.clip_norm)
+                g_losses[b] = train_generator_step(
+                    gen, disc, cond, fake_g, gen_cache, adam_g,
+                    config.clip_norm)
+            except NumericError as exc:
+                raise NumericError(f"{exc} (epoch {epoch}, batch {b})") from None
+        history.d_batch.extend(d_losses.tolist())
+        history.g_batch.extend(g_losses.tolist())
+        history.d_epoch.append(float(d_losses.mean()))
+        history.g_epoch.append(float(g_losses.mean()))
+        if progress is not None:
+            progress(epoch, history.d_epoch[-1], history.g_epoch[-1])
 
     return TrainedModel(generator=gen, discriminator=disc, adam_g=adam_g,
                         adam_d=adam_d, scaler=scaler, config=config,

@@ -626,24 +626,6 @@ class TestThreadedSynthesis:
                               condition_dim=4)
         assert get() == before
 
-    def test_train_runs_on_one_blas_thread(self):
-        blas = gan._openblas()
-        if blas is None:
-            pytest.skip("NumPy's BLAS is not an OpenBLAS found in the maps")
-        get, _ = blas
-        before = get()
-        seen = []
-        train(toy_config(epochs=2), toy_pairs(), toy_scaler(),
-              progress=lambda *_: seen.append(get()))
-        assert seen == [1, 1]
-        assert get() == before
-
-        def stop(*_):
-            raise KeyboardInterrupt
-        with pytest.raises(KeyboardInterrupt):
-            train(toy_config(), toy_pairs(), toy_scaler(), progress=stop)
-        assert get() == before
-
 
 class TestCheckpointRoundTrip:
     def test_save_load_preserves_everything(self, tmp_path):
