@@ -380,7 +380,8 @@ def _conditioned(gen: Generator, windows: np.ndarray, zs: np.ndarray,
     generator's dtype, and write disjoint slices of the output. After a
     chunk fails no more are started; the error of the earliest failing
     chunk is raised here. Every chunk before it has been taken, so that is
-    the error a sequential loop would raise.
+    the error a sequential loop would raise. An interrupt of the calling
+    thread stops the others after the chunk each is running.
     """
     m = windows.shape[0]
     out = np.empty(m)
@@ -409,6 +410,10 @@ def _conditioned(gen: Generator, windows: np.ndarray, zs: np.ndarray,
         thread.start()
     try:
         work()
+    except BaseException as exc:  # Ctrl-C: the others start no new chunk
+        with lock:
+            errors.setdefault(m, exc)
+        raise
     finally:
         for thread in threads:
             thread.join()

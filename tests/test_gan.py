@@ -2,6 +2,7 @@ import contextlib
 import copy
 import math
 import sys
+import threading
 import time
 
 import numpy as np
@@ -604,6 +605,31 @@ class TestThreadedSynthesis:
         scaler = scaling.ScalerParams(mean=0.0, stddev=1.0, n_fitted=2)
         with pytest.raises(NumericError, match=f"^chunk at {c}$"):
             synthesize_series(gen, scaler, closes, condition_dim=4)
+
+    def test_interrupt_on_the_calling_thread_stops_the_others(self,
+                                                               monkeypatch):
+        # Ctrl-C lands in the calling thread's first chunk; the other
+        # thread finishes the chunk it holds and takes no more of the 20
+        self.pin_workers(monkeypatch, 2)
+        monkeypatch.setattr(gan, "SYNTH_CHUNK", 4)
+        gen = Generator(toy_config(), np.random.default_rng(35))
+        forward = gen.forward
+        taken = []
+
+        def slow_forward(conditions, z, keep_cache=True, workspace=None):
+            if threading.current_thread() is threading.main_thread():
+                time.sleep(0.02)
+                raise KeyboardInterrupt
+            taken.append(conditions[0, 0])
+            time.sleep(0.2)
+            return forward(conditions, z, keep_cache, workspace)
+
+        monkeypatch.setattr(gen, "forward", slow_forward)
+        closes = np.arange(84, dtype=np.float64)
+        scaler = scaling.ScalerParams(mean=0.0, stddev=1.0, n_fitted=2)
+        with pytest.raises(KeyboardInterrupt):
+            synthesize_series(gen, scaler, closes, condition_dim=4)
+        assert 1 <= len(taken) <= 2
 
     def test_blas_pin_restores_the_thread_count(self):
         blas = gan._openblas()
