@@ -173,7 +173,7 @@ def load(path) -> TrainedModel:
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+    except (ValueError, RecursionError) as exc:  # or too deeply nested
         raise DataError(f"{path} is not a JSON file: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != FORMAT:
         raise DataError(f"{path} is not a {FORMAT} file")

@@ -78,12 +78,16 @@ def _at_least_one(text: str) -> int:
     return value
 
 
-def _default_seed() -> int:
+def _seed(flag=None) -> int:
+    """`flag` (--seed), else TSGAN_SEED, else 0; DataError if negative."""
     env = os.environ.get("TSGAN_SEED")
     try:
-        return int(env) if env else 0
+        seed = flag if flag is not None else int(env) if env else 0
     except ValueError:
         raise DataError(f"TSGAN_SEED={env!r} is not an integer") from None
+    if seed < 0:
+        raise DataError(f"seed must be >= 0, not {seed}")
+    return seed
 
 
 def _build_parser() -> _Parser:
@@ -148,7 +152,7 @@ def _train_config(args) -> TrainConfig:
         with open(args.config, encoding="utf-8") as fh:
             try:
                 settings = json.load(fh)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:  # too deeply nested
                 raise DataError(f"config {args.config} is not JSON: {exc}")
         if not isinstance(settings, dict):
             raise DataError(f"config {args.config} is not a JSON object")
@@ -160,7 +164,7 @@ def _train_config(args) -> TrainConfig:
     for key, value in flag_map.items():
         if value is not None:
             settings[key] = value
-    settings.setdefault("seed", _default_seed())
+    settings.setdefault("seed", _seed())
     try:
         return TrainConfig(**settings)
     except (TypeError, ValueError) as exc:
@@ -217,11 +221,11 @@ def cmd_train(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    seed = _seed(args.seed)
     model = checkpoint.load(args.checkpoint)
     _, series, _ = _load_series(args.input)
     closes = series.close
     d = model.config.condition_dim
-    seed = args.seed if args.seed is not None else _default_seed()
     generated = synthesize_series(model.generator, model.scaler, closes,
                                   condition_dim=d, mode=args.mode, seed=seed)
     timestamps = series.timestamp[d:].astype(object)  # naive UTC datetimes
@@ -319,8 +323,7 @@ def cmd_plot(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    reports = gradcheck.run_suite(seed=seed, trials=args.trials)
+    reports = gradcheck.run_suite(seed=_seed(args.seed), trials=args.trials)
     failed = False
     for rep in reports:
         status = "PASS" if rep.passed else "FAIL"

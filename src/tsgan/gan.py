@@ -10,8 +10,9 @@ mini-batch, both fed by one generator pass; the discriminator sees its k
 real and k fake rows in one 2k-row pass. All randomness flows through a
 single seeded Generator so runs are bit-reproducible.
 
-Conditioned synthesis runs its chunks of windows on as many threads as
-the BLAS has, each with its own LSTM workspace, while the BLAS is pinned
+Synthesis keeps no trajectory: both modes run nn.lstm_step on one step's
+buffers. Conditioned synthesis runs its chunks of windows, each on buffers
+of its own, on as many threads as the BLAS has, while the BLAS is pinned
 to one thread. A chunk's values do not depend on which thread runs it,
 so the output is the same bytes for any number of threads.
 """
@@ -127,27 +128,21 @@ class Generator:
                 "gen.head.weights": self.head.weights,
                 "gen.head.bias": self.head.bias}
 
-    def forward(self, conditions: np.ndarray, z: np.ndarray, keep_cache=True,
-                workspace: LstmWorkspace | None = None):
-        """Generate one scalar per row of `conditions` using noise rows `z`.
-
-        Returns (values (k,), cache or None). keep_cache=False runs the
-        LSTM forward-only, on one step of gate and cell buffers. The LSTM
-        runs in `workspace`, the generator's own when None; a thread that
-        passes its own may run alongside passes on other workspaces.
-        """
+    def forward(self, conditions: np.ndarray, z: np.ndarray):
+        """Values (k,) for the rows of `conditions` with noise rows `z`,
+        and the cache for `backward`."""
         k, d = conditions.shape
         xs = np.empty((d, k, 1 + self.noise_dim))
         xs[:, :, 0] = conditions.T
         xs[:, :, 1:] = z
         state, lstm_cache = lstm_forward(
             self.lstm, xs, LstmState.zeros(self.lstm.hidden_size, k),
-            self.workspace if workspace is None else workspace, keep_cache)
+            self.workspace)
         out, head_cache = dense_forward(self.head, state.z)
         xhat = out[:, 0]
         if not np.all(np.isfinite(xhat)):
             raise NumericError("generator produced non-finite output")
-        return xhat, ((lstm_cache, head_cache) if keep_cache else None)
+        return xhat, (lstm_cache, head_cache)
 
     def forward_pair(self, conditions: np.ndarray, z2: np.ndarray):
         """One double-width pass for a D step and a G step on one batch.
@@ -371,17 +366,47 @@ def _one_blas_thread():
         put(threads)
 
 
+def _step_buffers(gen: Generator, k: int):
+    """One lstm_step's buffers for k columns, in the generator's dtype:
+    (W, s, p, c_prev, c, tc, ig), W from one step_weights cast, the input
+    slab s = [z; condition; noise] and both cell slabs zero."""
+    h, dt = gen.lstm.hidden_size, gen.workspace.dtype
+    s = np.zeros((h + 1 + gen.noise_dim, k), dt)
+    c_prev, c = np.zeros((2, h, k), dt)
+    tc, ig = np.empty((2, h, k), dt)
+    return (step_weights(gen.lstm.W, dt), s, np.empty((4 * h, k), dt),
+            c_prev, c, tc, ig)
+
+
+def _conditioned_chunk(gen: Generator, windows: np.ndarray,
+                       zs: np.ndarray) -> np.ndarray:
+    """Generator values for the rows of `windows` with noise rows `zs`,
+    the same bytes as `gen.forward`: step t of every window is one
+    lstm_step, the windows its columns, on step buffers of the chunk's."""
+    W, s, p, c_prev, c, tc, ig = _step_buffers(gen, windows.shape[0])
+    h = gen.lstm.hidden_size
+    s[h + 1:] = zs.T
+    for t in range(windows.shape[1]):
+        s[h] = windows[:, t]
+        lstm_step(W, s, p, c_prev, c, tc, s[:h], ig)
+        c_prev, c = c, c_prev
+    check_lstm_state(c_prev, s[:h])
+    out, _ = dense_forward(gen.head, s[:h].T.astype(np.float64, order="C"))
+    if not np.all(np.isfinite(out)):
+        raise NumericError("generator produced non-finite output")
+    return out[:, 0]
+
+
 def _conditioned(gen: Generator, windows: np.ndarray, zs: np.ndarray,
                  workers: int) -> np.ndarray:
     """Generator values for `windows` with noise rows `zs`, SYNTH_CHUNK rows
     a pass, on `workers` threads, the calling thread one of them.
 
-    Threads take chunks in order, each into its own workspace of the
-    generator's dtype, and write disjoint slices of the output. After a
-    chunk fails no more are started; the error of the earliest failing
-    chunk is raised here. Every chunk before it has been taken, so that is
-    the error a sequential loop would raise. An interrupt of the calling
-    thread stops the others after the chunk each is running.
+    Threads take chunks in order and write disjoint slices of the output.
+    After a chunk fails no more are started; the error of the earliest
+    failing chunk is raised here. Every chunk before it has been taken, so
+    that is the error a sequential loop would raise. An interrupt of the
+    calling thread stops the others after the chunk each is running.
     """
     m = windows.shape[0]
     out = np.empty(m)
@@ -390,7 +415,6 @@ def _conditioned(gen: Generator, windows: np.ndarray, zs: np.ndarray,
     lock = threading.Lock()
 
     def work():
-        workspace = LstmWorkspace(gen.workspace.dtype)
         while True:
             with lock:
                 start = None if errors else next(starts, None)
@@ -398,9 +422,7 @@ def _conditioned(gen: Generator, windows: np.ndarray, zs: np.ndarray,
                 return
             rows = slice(start, start + SYNTH_CHUNK)
             try:
-                out[rows], _ = gen.forward(windows[rows], zs[rows],
-                                           keep_cache=False,
-                                           workspace=workspace)
+                out[rows] = _conditioned_chunk(gen, windows[rows], zs[rows])
             except Exception as exc:  # re-raised on the calling thread
                 with lock:
                     errors[start] = exc
@@ -456,17 +478,13 @@ def synthesize_series(gen: Generator, scaler: scaling.ScalerParams,
         # w starts at tick w in column w % d, which held window w-d until
         # the tick before, and finishes at tick w+d-1, one tick before its
         # value buf[w+d] is first read. Columns whose window has not started
-        # or has finished step on harmlessly. The buffers last the whole
-        # run: the input slab s = [z; condition; noise], two cell slabs.
+        # or has finished step on harmlessly, on buffers that last the run.
         buf = np.empty(n)
         buf[:d] = normalized[:d]
         zs = rng.standard_normal((m, gen.noise_dim))  # as m (1, l) draws
-        h, dt = gen.lstm.hidden_size, gen.workspace.dtype
-        W = step_weights(gen.lstm.W, dt)
-        s = np.zeros((h + 1 + gen.noise_dim, d), dt)
-        z, p = s[:h], np.empty((4 * h, d), dt)
-        c_prev, c = np.zeros((2, h, d), dt)
-        tc, ig = np.empty((2, h, d), dt)
+        W, s, p, c_prev, c, tc, ig = _step_buffers(gen, d)
+        h = gen.lstm.hidden_size
+        z = s[:h]
         head_in = np.empty((1, h))
         for tick in range(m + d - 1):
             if tick < m:

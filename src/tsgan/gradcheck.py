@@ -117,7 +117,7 @@ def check_composed(rng: np.random.Generator, trials: int = 100) -> float:
         w = 0.01 * rng.standard_normal(2)
 
         def loss():
-            fake, _ = gen.forward(conditions, z, keep_cache=False)
+            fake, _ = gen.forward(conditions, z)
             logits, _ = disc.forward(conditions, fake)
             return float(logits @ w)
 

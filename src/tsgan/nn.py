@@ -9,21 +9,21 @@ dimension.
 The LSTM cell carries no bias terms and keeps its four gates in one
 stacked weight matrix W (4h, h + in), so a step is the single matmul
 W @ [z_prev; x_t] into a gate-major (4h, k) block. `lstm_step` is that
-step on caller-owned buffers, the one copy of its math; lstm_forward
-loops over it. It runs one tanh over the whole block, on a copy of W from
-`step_weights` whose f, i, o rows are halved, and maps those rows to the
-sigmoid by sigmoid(x) = (1 + tanh(x / 2)) / 2. Trajectories live in an
+step on caller-owned buffers, the one copy of its math. It runs one
+tanh over the whole block, on a copy of W from `step_weights` whose f,
+i, o rows are halved, and maps those rows to the sigmoid by
+sigmoid(x) = (1 + tanh(x / 2)) / 2. lstm_forward is the training pass:
+it loops lstm_step over a whole trajectory, kept for lstm_backward in an
 LstmWorkspace that is reused across calls of one shape; a forward cache
-is valid until the next forward on the same workspace. A forward-only
-pass, which keeps no cache, holds one step of gates and cell states.
-The workspace's dtype is the dtype the cell computes in (the generator
-uses float32); weights, final states and gradients stay float64.
+is valid until the next forward on the same workspace. Synthesis keeps
+no trajectory and calls lstm_step on buffers of one step. The
+workspace's dtype is the dtype the cell computes in (the generator uses
+float32); weights, final states and gradients stay float64.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, cycle
 
 import numpy as np
 
@@ -150,24 +150,21 @@ class StaleCacheError(RuntimeError):
 
 
 class LstmWorkspace:
-    """Trajectory buffers for lstm_forward and lstm_backward.
+    """Trajectory buffers for lstm_forward and lstm_backward: a training
+    pass and its backward keep every step.
 
     Buffers are kept between calls and reallocated only when the shape
-    or the mode (kept or forward-only) changes, so a steady training loop
-    touches no fresh memory. Every forward bumps `generation`; a cache is
-    valid only while it matches. Every buffer has the workspace's `dtype`,
-    fixed when it is built, and the cell computes in it.
+    changes, so a steady training loop touches no fresh memory. Every
+    forward bumps `generation`; a cache is valid only while it matches.
+    Every buffer has the workspace's `dtype`, fixed when it is built, and
+    the cell computes in it.
     Layout is time-major and gate-major with the batch along the last
     axis, so each step reads and writes contiguous (rows, k) blocks:
 
         S  (T+1, h+in, k)  S[t] = [z_{t-1}; x_t], S[T, :h] = final z
-        P  (D, 4h, k)      gate activations f, i, o (sigmoid), c (tanh)
-        C  (D+1, h, k)     C[t] = c_{t-1}, C[T] = final c
-        TC (D, h, k)       tanh(c_t)
-
-    D is T for a pass that keeps its cache. A forward-only pass keeps one
-    step: D = 1, and step t reads c_{t-1} from C[t % 2] and writes c_t to
-    C[(t+1) % 2]. S keeps all T+1 slabs in both, as it holds the inputs.
+        P  (T, 4h, k)      gate activations f, i, o (sigmoid), c (tanh)
+        C  (T+1, h, k)     C[t] = c_{t-1}, C[T] = final c
+        TC (T, h, k)       tanh(c_t)
     """
 
     def __init__(self, dtype=np.float64):
@@ -176,17 +173,15 @@ class LstmWorkspace:
         self._forward_shape = None
         self._backward_shape = None
 
-    def forward_buffers(self, steps: int, k: int, hidden: int, n_in: int,
-                        keep_cache: bool):
-        shape = (steps, k, hidden, n_in, keep_cache)
+    def forward_buffers(self, steps: int, k: int, hidden: int, n_in: int):
+        shape = (steps, k, hidden, n_in)
         if shape != self._forward_shape:
             self._forward_shape = shape
-            depth = steps if keep_cache else 1
             dt = self.dtype
             self.S = np.empty((steps + 1, hidden + n_in, k), dt)
-            self.P = np.empty((depth, 4 * hidden, k), dt)
-            self.C = np.empty((depth + 1, hidden, k), dt)
-            self.TC = np.empty((depth, hidden, k), dt)
+            self.P = np.empty((steps, 4 * hidden, k), dt)
+            self.C = np.empty((steps + 1, hidden, k), dt)
+            self.TC = np.empty((steps, hidden, k), dt)
             self._ig = np.empty((hidden, k), dt)
         self.generation += 1
         return self.S, self.P, self.C, self.TC, self._ig
@@ -249,7 +244,7 @@ def lstm_step(W, s, p, c_prev, c, tc, z, ig):
 
 
 def lstm_forward(cell: LstmCell, xs, init: LstmState,
-                 workspace: LstmWorkspace | None = None, keep_cache=True):
+                 workspace: LstmWorkspace | None = None):
     """Run the cell over xs (T, k, in) from `init` (c and z of (k, h)).
 
     Each step is one `lstm_step` on the workspace's slabs: step t reads
@@ -257,8 +252,6 @@ def lstm_forward(cell: LstmCell, xs, init: LstmState,
     Returns (final LstmState as fresh arrays, cache for lstm_backward).
     The trajectory stays in `workspace` (a private one when None), so the
     cache is valid only until the next forward on the same workspace.
-    With keep_cache=False the pass is forward-only: the workspace keeps
-    one step of gates and cell states instead of T, and the cache is None.
     The pass computes in the workspace's dtype, on one cast of W; the
     final state is float64 whatever that dtype is. A non-finite final
     state raises NumericError.
@@ -274,25 +267,18 @@ def lstm_forward(cell: LstmCell, xs, init: LstmState,
     if init.z.shape != (k, h) or init.c.shape != (k, h):
         raise NumericError(f"initial LSTM state must be ({k}, {h})")
     ws = LstmWorkspace() if workspace is None else workspace
-    S, P, C, TC, ig = ws.forward_buffers(T, k, h, n_in, keep_cache)
+    S, P, C, TC, ig = ws.forward_buffers(T, k, h, n_in)
     S[:T, h:] = xs.transpose(0, 2, 1)
     S[0, :h] = init.z.T
     C[0] = init.c.T
-
-    # step t uses P[t % D], TC[t % D] and C[t % (D+1)] -> C[(t+1) % (D+1)]
-    # (see LstmWorkspace): the cycles wrap only in a forward-only pass
     W = step_weights(cell.W, ws.dtype)
-    for p, s, z, c_prev, c, tc in zip(
-            cycle(P), S, S[1:, :h], cycle(C), cycle(chain(C[1:], C[:1])),
-            cycle(TC)):
-        lstm_step(W, s, p, c_prev, c, tc, z, ig)
+    for t in range(T):
+        lstm_step(W, S[t], P[t], C[t], C[t + 1], TC[t], S[t + 1, :h], ig)
     # C order: a transposed view's cast keeps Fortran order, and the head's
     # GEMM would then round a row range differently from the whole
-    state = LstmState(c=C[T % len(C)].T.astype(np.float64, order="C"),
+    state = LstmState(c=C[T].T.astype(np.float64, order="C"),
                       z=S[T, :h].T.astype(np.float64, order="C"))
     check_lstm_state(state.c, state.z)
-    if not keep_cache:
-        return state, None
     cache = {"xs": xs, "workspace": ws, "generation": ws.generation,
              "start": 0}
     return state, cache

@@ -126,7 +126,8 @@ class TestTrain:
         '{"seed": -1}', '{"batch_size": true}', '{"hidden_size": 8.0}',
         '{"noise_dim": "8"}', '{"disc_layers": [64.5]}',
         '{"disc_layers": [true]}', '{"disc_layers": 64}', '{"lr": "0.1"}',
-        '{"beta1": false}', '{"clip_norm": null}'])
+        '{"beta1": false}', '{"clip_norm": null}',
+        pytest.param("[" * 200000 + "]" * 200000, id="deeply_nested")])
     def test_bad_config_exit_2(self, price_csv, tmp_path, capsys, text):
         cfg = tmp_path / "cfg.json"
         cfg.write_bytes(text.encode("utf-8", "surrogateescape"))
@@ -356,6 +357,16 @@ class TestCheckpointValidation:
         err = capsys.readouterr().err
         assert rc == 2
         assert "Traceback" not in err
+
+    def test_deeply_nested_json_exit_2(self, price_csv, tmp_path, capsys):
+        # json.load raises RecursionError, not ValueError, on this
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"a": ' * 200000 + "1" + "}" * 200000)
+        rc = main(["generate", "--checkpoint", str(bad), "--input",
+                   str(price_csv), "--out", str(tmp_path / "g.csv")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("data error:") and "not a JSON file" in err
 
 
 class TestEvaluate:
@@ -730,6 +741,33 @@ class TestSeedEnvFallback:
               "--hidden", "8"])
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["seed"] == 99
+
+    @pytest.mark.parametrize("command, flag, env", [
+        pytest.param("generate", "-1", None, id="generate-flag"),
+        pytest.param("generate", None, "-3", id="generate-env"),
+        pytest.param("gradcheck", "-1", None, id="gradcheck-flag"),
+        pytest.param("train", "-1", None, id="train-flag"),
+        pytest.param("train", None, "-3", id="train-env")])
+    def test_negative_seed_exit_2(self, price_csv, tmp_path, capsys,
+                                  monkeypatch, command, flag, env):
+        run = tmp_path / "run"
+        assert main(train_args(price_csv, run)) == 0
+        out = tmp_path / "out"
+        argv = {"generate": ["--checkpoint", str(run / "checkpoint.json"),
+                             "--input", str(price_csv), "--out", str(out)],
+                "gradcheck": ["--trials", "1"],
+                "train": ["--input", str(price_csv), "--out", str(out)]}
+        if env is not None:
+            monkeypatch.setenv("TSGAN_SEED", env)
+        capsys.readouterr()
+        rc = main([command, *argv[command],
+                   *(["--seed", flag] if flag is not None else [])])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.err.startswith("data error:")
+        assert "seed" in captured.err and "Traceback" not in captured.err
+        assert "PASS" not in captured.out and not out.is_file()
+        assert not (out / "checkpoint.json").exists()
 
 
 _MAPPED_BLOCKS_SCRIPT = """

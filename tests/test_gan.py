@@ -67,8 +67,8 @@ def two_pass_d_step(disc, conditions, targets, fake, adam_d, clip_norm=5.0):
 
 def conditioned_reference(gen, scaler, real_closes, d, seed):
     """Conditioned synthesis as one chunk after another on the calling
-    thread, each chunk drawing its own noise rows, in the generator's own
-    workspace."""
+    thread, each chunk drawing its own noise rows and running as one
+    Generator.forward pass, the training pass."""
     normalized = scaling.transform(np.asarray(real_closes, dtype=np.float64),
                                    scaler)
     rng = np.random.default_rng(seed)
@@ -79,7 +79,7 @@ def conditioned_reference(gen, scaler, real_closes, d, seed):
         windows = np.lib.stride_tricks.sliding_window_view(
             normalized, d)[start:stop]
         z = rng.standard_normal((stop - start, gen.noise_dim))
-        out[start:stop], _ = gen.forward(windows, z, keep_cache=False)
+        out[start:stop], _ = gen.forward(windows, z)
     return scaling.inverse_transform(out, scaler)
 
 
@@ -95,7 +95,7 @@ def recursive_reference(gen, scaler, real_closes, d, seed):
     for t in range(out.shape[0]):
         window = np.array(buf[-d:])[None, :]
         z = rng.standard_normal((1, gen.noise_dim))
-        value, _ = gen.forward(window, z, keep_cache=False)
+        value, _ = gen.forward(window, z)
         out[t] = value[0]
         buf.append(out[t])
     return scaling.inverse_transform(out, scaler)
@@ -122,8 +122,7 @@ def wavefront_reference(gen, scaler, real_closes, d, seed):
             state.z[row] = 0.0
             xs[0, row, 1:] = zs[tick]
         xs[0, :, 0] = buf[tick]
-        state, _ = lstm_forward(gen.lstm, xs, state, gen.workspace,
-                                keep_cache=False)
+        state, _ = lstm_forward(gen.lstm, xs, state, gen.workspace)
         if tick >= d - 1:
             row = (tick + 1) % d
             value, _ = dense_forward(gen.head, state.z[row:row + 1])
@@ -179,24 +178,12 @@ class TestGenerator:
         rng = np.random.default_rng(8)
         cond, z = rng.standard_normal((2, 4)), rng.standard_normal((2, 2))
         _, first = gen.forward(cond, z)
-        gen.forward(-cond, z, keep_cache=False)
+        gen.forward(-cond, z)
         with pytest.raises(StaleCacheError):
             gen.backward(first, np.ones(2))
         _, second = gen.forward(cond, z)
         fresh = gen.backward(second, np.ones(2))
         assert set(fresh) == set(gen.params())
-
-    @pytest.mark.parametrize("k", [1, 64, 1024])
-    def test_forward_only_equals_kept_pass(self, k):
-        # the default shape (60 steps, 8 noise inputs, h = 64); 1024 rows
-        # is synthesize_series' chunk
-        gen = Generator(TrainConfig(), np.random.default_rng(11))
-        rng = np.random.default_rng(12)
-        cond, z = rng.standard_normal((k, 60)), rng.standard_normal((k, 8))
-        kept, cache = gen.forward(cond, z)
-        only, none = gen.forward(cond, z, keep_cache=False)
-        assert cache is not None and none is None
-        np.testing.assert_array_equal(only, kept)
 
     def test_workspace_is_float32(self):
         gen = Generator(toy_config(), np.random.default_rng(25))
@@ -546,7 +533,7 @@ class TestThreadedSynthesis:
         scaler = scaling.fit(closes)
         generation = gen.workspace.generation
         out = synthesize_series(gen, scaler, closes, condition_dim=d, seed=m)
-        # the chunks ran in workspaces of their own
+        # the chunks left the generator's workspace alone
         assert gen.workspace.generation == generation
         ref = conditioned_reference(gen, scaler, closes, d, seed=m)
         assert out.tobytes() == ref.tobytes()
@@ -590,17 +577,17 @@ class TestThreadedSynthesis:
         self.pin_workers(monkeypatch, 2)
         c = gan.SYNTH_CHUNK
         gen = Generator(toy_config(), np.random.default_rng(32))
-        forward = gen.forward
+        chunk = gan._conditioned_chunk
 
-        def failing_forward(conditions, z, keep_cache=True, workspace=None):
-            start = int(conditions[0, 0])  # the closes are 0, 1, 2, ...
+        def failing_chunk(gen, windows, zs):
+            start = int(windows[0, 0])  # the closes are 0, 1, 2, ...
             if start == c:
                 time.sleep(0.2)
             if start in (c, 3 * c):
                 raise NumericError(f"chunk at {start}")
-            return forward(conditions, z, keep_cache, workspace)
+            return chunk(gen, windows, zs)
 
-        monkeypatch.setattr(gen, "forward", failing_forward)
+        monkeypatch.setattr(gan, "_conditioned_chunk", failing_chunk)
         closes = np.arange(5 * c + 4, dtype=np.float64)
         scaler = scaling.ScalerParams(mean=0.0, stddev=1.0, n_fitted=2)
         with pytest.raises(NumericError, match=f"^chunk at {c}$"):
@@ -613,18 +600,18 @@ class TestThreadedSynthesis:
         self.pin_workers(monkeypatch, 2)
         monkeypatch.setattr(gan, "SYNTH_CHUNK", 4)
         gen = Generator(toy_config(), np.random.default_rng(35))
-        forward = gen.forward
+        chunk = gan._conditioned_chunk
         taken = []
 
-        def slow_forward(conditions, z, keep_cache=True, workspace=None):
+        def slow_chunk(gen, windows, zs):
             if threading.current_thread() is threading.main_thread():
                 time.sleep(0.02)
                 raise KeyboardInterrupt
-            taken.append(conditions[0, 0])
+            taken.append(windows[0, 0])
             time.sleep(0.2)
-            return forward(conditions, z, keep_cache, workspace)
+            return chunk(gen, windows, zs)
 
-        monkeypatch.setattr(gen, "forward", slow_forward)
+        monkeypatch.setattr(gan, "_conditioned_chunk", slow_chunk)
         closes = np.arange(84, dtype=np.float64)
         scaler = scaling.ScalerParams(mean=0.0, stddev=1.0, n_fitted=2)
         with pytest.raises(KeyboardInterrupt):

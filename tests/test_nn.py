@@ -208,66 +208,6 @@ class TestLstmForward:
             nn.lstm_forward(cell, np.ones((4, 2)), nn.LstmState.zeros(3))
 
 
-class TestLstmForwardOnly:
-    """keep_cache=False: one step of gate and cell buffers, no cache."""
-
-    @pytest.mark.parametrize("k", [1, 64, 1024])
-    def test_bit_equal_to_kept_pass(self, k):
-        # an odd T, so the final c sits in the second of the two C slabs
-        rng = np.random.default_rng(15)
-        cell = make_cell(9, 64, rng)
-        xs = rng.standard_normal((61, k, 9))
-        init = nn.LstmState(c=rng.standard_normal((k, 64)),
-                            z=rng.standard_normal((k, 64)))
-        kept, _ = nn.lstm_forward(cell, xs, init)
-        only, cache = nn.lstm_forward(cell, xs, init, keep_cache=False)
-        assert cache is None
-        np.testing.assert_array_equal(only.z, kept.z)
-        np.testing.assert_array_equal(only.c, kept.c)
-
-    @pytest.mark.parametrize("T", [1, 2])
-    def test_short_sequences(self, T):
-        rng = np.random.default_rng(16)
-        cell = make_cell(2, 3, rng)
-        xs = rng.standard_normal((T, 4, 2))
-        init = nn.LstmState(c=rng.standard_normal((4, 3)),
-                            z=rng.standard_normal((4, 3)))
-        kept, _ = nn.lstm_forward(cell, xs, init)
-        only, _ = nn.lstm_forward(cell, xs, init, keep_cache=False)
-        np.testing.assert_array_equal(only.z, kept.z)
-        np.testing.assert_array_equal(only.c, kept.c)
-
-    def test_gate_and_cell_buffers_do_not_grow_with_T(self):
-        rng = np.random.default_rng(17)
-        cell = make_cell(9, 16, rng)
-        sizes = {}
-        for T in (60, 600):
-            ws = nn.LstmWorkspace()
-            nn.lstm_forward(cell, rng.standard_normal((T, 8, 9)),
-                            nn.LstmState.zeros(16, 8), ws, keep_cache=False)
-            sizes[T] = [ws.P.nbytes, ws.C.nbytes, ws.TC.nbytes]
-        assert sizes[60] == sizes[600] == [4 * 16 * 8 * 8, 2 * 16 * 8 * 8,
-                                           16 * 8 * 8]
-
-    def test_forward_only_pass_makes_kept_cache_stale(self):
-        rng = np.random.default_rng(18)
-        cell = make_cell(2, 3, rng)
-        ws = nn.LstmWorkspace()
-        xs = rng.standard_normal((4, 5, 2))
-        init = nn.LstmState.zeros(3, 5)
-        dz = np.ones((5, 3))
-        _, old = nn.lstm_forward(cell, xs, init, ws)
-        nn.lstm_forward(cell, -xs, init, ws, keep_cache=False)
-        with pytest.raises(nn.StaleCacheError):
-            nn.lstm_backward(cell, old, dz)
-        # a kept pass after it gets its full trajectory back
-        _, new = nn.lstm_forward(cell, xs, init, ws)
-        _, fresh = nn.lstm_forward(cell, xs, init)
-        for got, want in zip(nn.lstm_backward(cell, new, dz),
-                             nn.lstm_backward(cell, fresh, dz)):
-            np.testing.assert_array_equal(got, want)
-
-
 class TestStepWeights:
     """lstm_step reads W with its f, i, o rows halved, from a fresh copy."""
 
@@ -280,10 +220,8 @@ class TestStepWeights:
         np.testing.assert_array_equal(W[:12], cast[:12] / 2)
         np.testing.assert_array_equal(W[12:], cast[12:])
 
-    @pytest.mark.parametrize("keep_cache", [True, False])
     @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_lstm_forward_leaves_cell_weights_bit_identical(self, dtype,
-                                                            keep_cache):
+    def test_lstm_forward_leaves_cell_weights_bit_identical(self, dtype):
         # on a float64 workspace a cast without a copy would be W itself,
         # and halving its rows would halve the cell's weights
         rng = np.random.default_rng(31)
@@ -291,8 +229,7 @@ class TestStepWeights:
         before = cell.W.copy()
         for _ in range(2):
             nn.lstm_forward(cell, rng.standard_normal((5, 2, 3)),
-                            nn.LstmState.zeros(4, 2), nn.LstmWorkspace(dtype),
-                            keep_cache)
+                            nn.LstmState.zeros(4, 2), nn.LstmWorkspace(dtype))
         assert cell.W.tobytes() == before.tobytes()
 
 
