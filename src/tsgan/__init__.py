@@ -1,7 +1,7 @@
 """Conditional GAN library for one-step synthesis of price time series.
 
 Submodules:
-    data       CSV ingestion into a columnar series, cleaning, windowing
+    data       every CSV read and write, a columnar series, cleaning, windowing
     scaling    zero-mean/unit-variance standardization with exact inverse
     nn         dense layer + LSTM cell, hand-derived backward passes
     optim      stable BCE-with-logits and Adam

@@ -89,9 +89,7 @@ def save(path, model: TrainedModel) -> None:
         "format": FORMAT,
         "version": VERSION,
         "config": dataclasses.asdict(model.config),
-        "scaler": {"mean": repr(model.scaler.mean),
-                   "stddev": repr(model.scaler.stddev),
-                   "n_fitted": model.scaler.n_fitted},
+        "scaler": model.scaler.to_dict(),
         "epoch": model.epoch,
         "loss_history": {"d_epoch": model.history.d_epoch,
                          "g_epoch": model.history.g_epoch,

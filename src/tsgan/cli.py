@@ -9,15 +9,12 @@ defaults (the training defaults are l=8, d=60, k=64, E=50, lr=2e-4).
 from __future__ import annotations
 
 import argparse
-import csv
 import ctypes
 import dataclasses
 import json
 import os
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from . import checkpoint, data, gradcheck, metrics, scaling, svgplot
 from .errors import DataError, NumericError
@@ -26,6 +23,9 @@ from .gan import TrainConfig, synthesize_series, train
 EXIT_DATA = 2
 EXIT_NUMERIC = 3
 EXIT_USAGE = 4
+# the float columns of the files that generate and train write
+_GENERATED_COLUMNS = ("real_close", "generated_close")
+_LOSS_COLUMNS = ("loss_d", "loss_g")
 # heap blocks of this many bytes and more get a mapping of their own
 MMAP_THRESHOLD = 2 << 20
 # glibc's mallopt parameter numbers (malloc.h)
@@ -171,17 +171,7 @@ def _train_config(args) -> TrainConfig:
         raise DataError(f"bad config: {exc}")
 
 
-def _write_losses_csv(path, history):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["epoch", "loss_d", "loss_g"])
-        for i, (ld, lg) in enumerate(zip(history.d_epoch, history.g_epoch), 1):
-            writer.writerow([i, repr(ld), repr(lg)])
-
-
 def cmd_train(args) -> int:
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     result, series, dropped = _load_series(args.input, args.asset)
     closes = series.close
     if args.split:
@@ -190,6 +180,8 @@ def cmd_train(args) -> int:
     scaler = scaling.fit(closes)
     pairs = data.make_pairs(scaling.transform(closes, scaler),
                             config.condition_dim)
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     def progress(epoch, ld, lg):
         print(f"epoch {epoch}/{config.epochs}  L_D={ld:.6f}  L_G={lg:.6f}")
@@ -197,7 +189,10 @@ def cmd_train(args) -> int:
     model = train(config, pairs, scaler, progress=progress)
 
     checkpoint.save(out_dir / "checkpoint.json", model)
-    _write_losses_csv(out_dir / "losses.csv", model.history)
+    history = model.history
+    data.write_csv(out_dir / "losses.csv", ["epoch", *_LOSS_COLUMNS],
+                   ((i, repr(ld), repr(lg)) for i, (ld, lg)
+                    in enumerate(zip(history.d_epoch, history.g_epoch), 1)))
     data.write_rejects_csv(out_dir / "rejects.csv", result.rejects)
     manifest = {
         "input": str(args.input),
@@ -210,8 +205,7 @@ def cmd_train(args) -> int:
         "noise_distribution": "standard-normal",
         "shuffle_policy": "per-epoch, seeded, last partial batch dropped",
         "adam_epsilon": 1e-8,
-        "scaler": {"mean": repr(scaler.mean), "stddev": repr(scaler.stddev),
-                   "n_fitted": scaler.n_fitted},
+        "scaler": scaler.to_dict(),
     }
     with checkpoint.atomic_write(out_dir / "manifest.json") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
@@ -229,60 +223,17 @@ def cmd_generate(args) -> int:
     generated = synthesize_series(model.generator, model.scaler, closes,
                                   condition_dim=d, mode=args.mode, seed=seed)
     timestamps = series.timestamp[d:].astype(object)  # naive UTC datetimes
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["timestamp", "real_close", "generated_close"])
-        for ts, real, fake in zip(timestamps, closes[d:], generated):
-            writer.writerow([f"{ts.isoformat()}+00:00", repr(float(real)),
-                             repr(float(fake))])
+    data.write_csv(args.out, ["timestamp", *_GENERATED_COLUMNS],
+                   ((f"{ts.isoformat()}+00:00", repr(float(real)),
+                     repr(float(fake)))
+                    for ts, real, fake in zip(timestamps, closes[d:],
+                                              generated)))
     print(f"wrote {args.out} ({generated.shape[0]} rows, mode={args.mode})")
     return 0
 
 
-_GENERATED_COLUMNS = ("real_close", "generated_close")
-
-
-def _read_generated_csv(path):
-    """The two close columns as float64 arrays. A cell that is empty (a
-    short row reads its missing cells as empty), not a number or not
-    finite is a DataError naming its data row (1 is the first row after
-    the header; blank lines are not counted) and its column."""
-    real, fake = [], []
-    with data.open_csv(path) as reader:
-        header = next(reader, [])
-        if not set(_GENERATED_COLUMNS) <= set(header):
-            raise DataError(f"{path} lacks real_close/generated_close columns")
-        for r, f in data.read_columns(reader, header, _GENERATED_COLUMNS):
-            try:
-                real.append(float(r))
-                fake.append(float(f))
-            except ValueError:
-                raise _cell_error(path, len(fake) + 1, (r, f)) from None
-    if not real:
-        raise DataError(f"{path} has no data rows")
-    columns = np.array(real), np.array(fake)
-    bad = np.argwhere(~np.isfinite(np.column_stack(columns)))
-    if bad.size:
-        r, q = bad[0]
-        raise DataError(f"{path} data row {r + 1}: {_GENERATED_COLUMNS[q]} "
-                        f"'{columns[q][r]}' is not finite")
-    return columns
-
-
-def _cell_error(path, row_number: int, cells: tuple[str, str]) -> DataError:
-    """The error for the first of a row's (real_close, generated_close)
-    cells that float() refuses."""
-    for name, cell in zip(_GENERATED_COLUMNS, cells):
-        try:
-            float(cell)
-        except ValueError:
-            return DataError(f"{path} data row {row_number}: {name} "
-                             f"{cell!r} is not a number")
-    raise AssertionError("_cell_error called on a row of numbers")
-
-
 def cmd_evaluate(args) -> int:
-    real, fake = _read_generated_csv(args.input)
+    real, fake = data.read_floats(args.input, _GENERATED_COLUMNS)
     original = metrics.evaluate(real, fake, scale="original")
     scaler = scaling.fit(real)
     normalized = metrics.evaluate(scaling.transform(real, scaler),
@@ -298,27 +249,23 @@ def cmd_evaluate(args) -> int:
 
 def cmd_plot(args) -> int:
     with data.open_csv(args.input) as reader:
-        header = next(reader, [])
+        header = set(next(reader, []))
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    if {"loss_d", "loss_g"} <= set(header):
-        try:
-            rows = np.genfromtxt(args.input, delimiter=",", names=True)
-        except ValueError as exc:  # rows of the wrong width
-            raise DataError(f"{args.input}: {' '.join(str(exc).split())}")
-        rows = np.atleast_1d(rows)
+    if set(_LOSS_COLUMNS) <= header:
+        loss_d, loss_g = data.read_floats(args.input, _LOSS_COLUMNS)
+        out.mkdir(parents=True, exist_ok=True)
         svg = out / "losses.svg"
-        svgplot.render_lines([("D", rows["loss_d"]), ("G", rows["loss_g"])],
+        svgplot.render_lines([("D", loss_d), ("G", loss_g)],
                              "Training losses", svg)
-        print(f"wrote {svg}")
-    elif {"real_close", "generated_close"} <= set(header):
-        real, fake = _read_generated_csv(args.input)
+    elif set(_GENERATED_COLUMNS) <= header:
+        real, fake = data.read_floats(args.input, _GENERATED_COLUMNS)
+        out.mkdir(parents=True, exist_ok=True)
         svg = out / "overlay.svg"
         svgplot.render_overlay(real, fake, args.window,
                                "Real vs generated", svg)
-        print(f"wrote {svg}")
     else:
         raise DataError(f"unrecognized CSV header in {args.input}")
+    print(f"wrote {svg}")
     return 0
 
 
@@ -337,11 +284,9 @@ def cmd_gradcheck(args) -> int:
 def cmd_analyze(args) -> int:
     _, series, _ = _load_series(args.input, args.asset)
     profile = metrics.volatility_profile(series)
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["date", "pct_change"])
-        for day, change in zip(profile.days, profile.pct_changes):
-            writer.writerow([day, repr(float(change))])
+    data.write_csv(args.out, ["date", "pct_change"],
+                   ((day, repr(float(change)))
+                    for day, change in zip(profile.days, profile.pct_changes)))
     print(f"days={len(profile.days) + 1} min={profile.min_change:.4f}% "
           f"max={profile.max_change:.4f}% variance={profile.variance:.6f}")
     return 0

@@ -10,9 +10,11 @@ from __future__ import annotations
 import csv
 import math
 import operator
+from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
+from itertools import chain, islice
 
 import numpy as np
 
@@ -148,6 +150,52 @@ def read_columns(reader, header: list[str], names):
         yield pick(cells)
 
 
+def read_floats(path, names) -> tuple[np.ndarray, ...]:
+    """The columns `names` (two or more) of the CSV at `path` as float64
+    arrays, one per name, read through `open_csv` and `read_columns`.
+
+    A header without all of `names`, a file without data rows, or a cell
+    that is empty (a short row reads its missing cells as empty), not a
+    number or not finite is a DataError. A cell's error names its data row
+    (1 is the first record after the header; blank lines are not counted)
+    and its column.
+    """
+    flat = array("d")  # the cells row by row, parsed without a float each
+    with open_csv(path) as reader:
+        header = next(reader, [])
+        if not set(names) <= set(header):
+            raise DataError(f"{path} lacks {'/'.join(names)} columns")
+        try:
+            flat.extend(map(float, chain.from_iterable(
+                read_columns(reader, header, names))))
+        except ValueError:  # flat holds every cell before the refused one
+            row, col = divmod(len(flat), len(names))
+            with open_csv(path) as again:  # to quote the refused cell
+                next(again)
+                cells = next(islice(read_columns(again, header, names), row,
+                                    None))
+            raise DataError(f"{path} data row {row + 1}: {names[col]} "
+                            f"{cells[col]!r} is not a number") from None
+    if not flat:
+        raise DataError(f"{path} has no data rows")
+    rows = np.frombuffer(flat).reshape(-1, len(names))
+    bad = np.argwhere(~np.isfinite(rows))
+    if bad.size:
+        r, q = bad[0]
+        raise DataError(f"{path} data row {r + 1}: {names[q]} "
+                        f"'{rows[r, q]}' is not finite")
+    return tuple(rows[:, q].copy() for q in range(len(names)))
+
+
+def write_csv(path, header, rows) -> None:
+    """Write `header`, then each of `rows`, as UTF-8 CSV with \\n line
+    ends: the format of every CSV the commands write."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 _PRICE_COLUMNS = ("close", "open", "high", "low")
 
 
@@ -174,7 +222,8 @@ def load_csv(path, asset_id: str = "") -> LoadResult:
     `open_csv`.
     """
     isfinite = math.isfinite
-    stamps, opens, highs, lows, closes = [], [], [], [], []
+    stamps = array("q")  # typed buffers: no object kept per parsed cell
+    opens, highs, lows, closes = array("d"), array("d"), array("d"), array("d")
     rejects: list[Reject] = []
     ts_format: str | None = None
     row_no = 1  # row 1 is the header
@@ -213,8 +262,9 @@ def load_csv(path, asset_id: str = "") -> LoadResult:
             lows.append(low)
             closes.append(close)
 
-    series = TimeSeries(asset_id, np.array(stamps, dtype=np.int64), opens,
-                        highs, lows, closes)
+    series = TimeSeries(asset_id, np.frombuffer(stamps, dtype=np.int64),
+                        np.frombuffer(opens), np.frombuffer(highs),
+                        np.frombuffer(lows), np.frombuffer(closes))
     series = series.take(np.argsort(series.timestamp, kind="stable"))
     return LoadResult(series=series, n_rows=row_no - 1, rejects=rejects)
 
@@ -259,8 +309,5 @@ def make_pairs(closes: np.ndarray, d: int) -> PairSet:
 
 
 def write_rejects_csv(path, rejects: list[Reject]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["row", "reason"])
-        for rej in rejects:
-            writer.writerow([rej.row, rej.reason])
+    write_csv(path, ["row", "reason"],
+              ((rej.row, rej.reason) for rej in rejects))

@@ -27,6 +27,12 @@ class ScalerParams:
         if self.stddev <= 0:
             raise DataError("zero variance: cannot standardize a constant series")
 
+    def to_dict(self) -> dict:
+        """The JSON form that checkpoints and manifests store: mean and
+        stddev as repr text (17 significant digits, exact)."""
+        return {"mean": repr(self.mean), "stddev": repr(self.stddev),
+                "n_fitted": self.n_fitted}
+
 
 def fit(values: np.ndarray) -> ScalerParams:
     values = np.asarray(values, dtype=np.float64)

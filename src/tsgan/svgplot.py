@@ -1,14 +1,14 @@
 """Minimal deterministic SVG line plots.
 
 Hand-rolled on purpose: output bytes depend only on the input data, so
-plots are diffable and testable. Not a general plotting layer.
+plots are diffable and testable. Not a general plotting layer. Every
+series is a non-empty float64 array of finite values, as
+`data.read_floats` returns them (a non-finite one would print as "nan").
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from .errors import DataError
 
 WIDTH = 960
 HEIGHT = 360
@@ -61,23 +61,8 @@ def _document(parts: list[str], total_height: int) -> str:
             f'{body}\n</svg>\n')
 
 
-def _checked(series: list[tuple[str, np.ndarray]]):
-    """The series as float64 arrays; DataError if one is empty or holds a
-    value that is not finite (it would print as "nan" into the SVG)."""
-    series = [(lbl, np.asarray(v, dtype=np.float64)) for lbl, v in series]
-    if not series or any(v.size == 0 for _, v in series):
-        raise DataError("nothing to plot")
-    for label, values in series:
-        bad = np.flatnonzero(~np.isfinite(values))
-        if bad.size:
-            raise DataError(f"cannot plot {label}: value {values[bad[0]]} "
-                            f"at index {bad[0]} is not finite")
-    return series
-
-
 def render_lines(series: list[tuple[str, np.ndarray]], title: str, path) -> None:
     """One panel, one polyline per (label, values) entry."""
-    series = _checked(series)
     doc = _document(_panel(series, title, 0), HEIGHT)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(doc)
@@ -86,8 +71,6 @@ def render_lines(series: list[tuple[str, np.ndarray]], title: str, path) -> None
 def render_overlay(real: np.ndarray, generated: np.ndarray, window: int,
                    title: str, path) -> None:
     """Two stacked panels: the full series and the first `window` samples."""
-    (_, real), (_, generated) = _checked([("real", real),
-                                          ("generated", generated)])
     window = min(window, real.size, generated.size)
     parts = _panel([("real", real), ("generated", generated)],
                    f"{title} (full)", 0)

@@ -2,9 +2,10 @@
 Hypothesis strategy for the CSV text they are compared on.
 
 `dict_load_csv` is `tsgan.data.load_csv` and `dict_read_generated_csv` is
-`tsgan.cli._read_generated_csv` as they were written over one DictReader
-dict per row; only their encoding is `utf-8-sig`, as in the streaming
-readers.
+the reader of a generated.csv's two close columns, now
+`tsgan.data.read_floats(path, ("real_close", "generated_close"))`, as they
+were written over one DictReader dict per row; only their encoding is
+`utf-8-sig`, as in the streaming readers.
 """
 
 from __future__ import annotations

@@ -1,4 +1,6 @@
 import base64
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -15,7 +17,8 @@ from hypothesis import strategies as st
 import tsgan
 from csv_reference import (BOM, csv_text, dict_read_generated_csv, outcome,
                            same_bits)
-from tsgan.cli import _read_generated_csv, main
+from tsgan import data
+from tsgan.cli import main
 
 
 @pytest.fixture
@@ -64,6 +67,7 @@ class TestTrain:
         assert manifest["adam_epsilon"] == 1e-8
         ckpt = json.loads((out / "checkpoint.json").read_text())
         assert manifest["config"] == ckpt["config"]
+        assert manifest["scaler"] == ckpt["scaler"]
 
     def test_default_epochs_is_fifty(self, price_csv, tmp_path, capsys):
         # checked via the config object, not an actual 50-epoch run
@@ -99,6 +103,7 @@ class TestTrain:
         rc = main(["train", "--input", str(tmp_path / "nope.csv"),
                    "--out", str(tmp_path / "o")])
         assert rc == 2
+        assert not (tmp_path / "o").exists()
 
     def test_usage_error_exit_4(self):
         with pytest.raises(SystemExit) as exc:
@@ -139,6 +144,7 @@ class TestTrain:
         assert "Traceback" not in err
         assert err.startswith("data error:")
         assert "config" in err.lower()
+        assert not (tmp_path / "run").exists()
 
     def test_zero_clip_norm_still_trains(self, price_csv, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -436,12 +442,13 @@ class TestEvaluate:
                 ("real_close", "generated_close")), st.booleans())
 @settings(max_examples=300, deadline=None)
 def test_read_generated_csv_matches_dict_reader(text, bom):
-    """The streaming reader gives what one DictReader dict per row gave:
+    """`data.read_floats` gives what one DictReader dict per row gave:
     bit-equal columns, or the same error."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "generated.csv"
         path.write_bytes(BOM * bom + text.encode("utf-8"))
-        got = outcome(_read_generated_csv, path)
+        got = outcome(lambda p: data.read_floats(
+            p, ("real_close", "generated_close")), path)
         want = outcome(dict_read_generated_csv, path)
     assert got[0] == want[0]
     if got[0] == "raised":
@@ -505,24 +512,41 @@ class TestPlot:
         err = capsys.readouterr().err
         assert rc == 2
         assert "Traceback" not in err
-        assert "cannot plot D: value" in err and "not finite" in err
-        assert not (out / "losses.svg").exists()
+        reason = "not finite" if cell in ("nan", "inf") else "not a number"
+        assert err == f"data error: {losses} data row 2: loss_d '{cell}' " \
+                      f"is {reason}\n"
+        assert not out.exists()
 
-    @pytest.mark.parametrize("row", ["2,0.6", "2,0.6,0.6,0.6"])
-    def test_loss_row_of_wrong_width_exit_2(self, tmp_path, capsys, row):
+    def test_short_loss_row_exit_2(self, tmp_path, capsys):
         losses = tmp_path / "losses.csv"
-        losses.write_text(f"epoch,loss_d,loss_g\n1,0.7,0.7\n{row}\n")
+        losses.write_text("epoch,loss_d,loss_g\n1,0.7,0.7\n2,0.6\n")
         rc = main(["plot", "--input", str(losses), "--out",
                    str(tmp_path / "plots")])
         err = capsys.readouterr().err
         assert rc == 2
-        assert "Traceback" not in err and "Line #3" in err
+        assert "Traceback" not in err
+        assert f"{losses} data row 2: loss_g '' is not a number" in err
+        assert not (tmp_path / "plots").exists()
+
+    def test_extra_loss_cells_are_ignored(self, tmp_path):
+        """As in every CSV the commands read: cells past the header's
+        width are ignored."""
+        plots = []
+        for name, row in (("plain", "2,0.6,0.6"), ("long", "2,0.6,0.6,0.6")):
+            losses = tmp_path / f"{name}.csv"
+            losses.write_text(f"epoch,loss_d,loss_g\n1,0.7,0.7\n{row}\n")
+            out = tmp_path / name
+            assert main(["plot", "--input", str(losses),
+                         "--out", str(out)]) == 0
+            plots.append((out / "losses.svg").read_bytes())
+        assert plots[0] == plots[1]
 
     def test_empty_input_exit_2(self, tmp_path):
         empty = tmp_path / "e.csv"
         empty.write_text("timestamp,real_close,generated_close\n")
         rc = main(["plot", "--input", str(empty), "--out", str(tmp_path / "p")])
         assert rc == 2
+        assert not (tmp_path / "p").exists()
 
 
 class TestGradcheckCommand:
@@ -725,11 +749,39 @@ class TestUndecodableOrOversizedCsv:
         assert rc == 2, err
         assert "Traceback" not in err
         assert err.startswith("data error:")
-        # plot reads a losses file past its header with genfromtxt, which
-        # has no field limit: the long cell is a number past float64's
-        # range, refused as not finite without naming the file
-        if (command, fault) != ("plot_losses", "oversized_cell"):
-            assert str(src) in err
+        assert str(src) in err
+
+
+NUMBER_CELLS = st.sampled_from([b"1", b"2.5", b"-0.5", b"1e3", b"0", b"7"])
+ODD_CELLS = st.one_of(st.sampled_from([b"", b"nan", b"x", b'"', b"\xff",
+                                       b"\x00", b"\r", b"1e999"]),
+                      st.binary(max_size=3))
+# rows of 2 to 4 cells, one cell in 2 or in 30 an odd one
+BYTE_ROWS = st.sampled_from([2, 30]).flatmap(lambda odds: st.lists(
+    st.lists(st.integers(1, odds).map(lambda i: i > 1).flatmap(
+        lambda number: NUMBER_CELLS if number else ODD_CELLS),
+        min_size=2, max_size=4)
+    .map(b",".join), max_size=8).map(b"\n".join))
+
+
+@given(st.sampled_from([b"", b"timestamp,real_close,generated_close\n",
+                        b"epoch,loss_d,loss_g\n"]),
+       st.one_of(st.binary(max_size=64), BYTE_ROWS),
+       st.sampled_from(["evaluate", "plot"]))
+@settings(max_examples=300, deadline=None)
+def test_arbitrary_bytes_exit_0_or_2(header, body, command):
+    """Any bytes after a header of either kind, or none, make `evaluate`
+    and `plot` exit 0 or 2; an exception escaping `main` fails the test."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "in.csv"
+        src.write_bytes(header + body)
+        out = Path(tmp) / ("m.json" if command == "evaluate" else "plots")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            rc = main([command, "--input", str(src), "--out", str(out)])
+    assert rc in (0, 2), err.getvalue()
+    assert rc == 0 or err.getvalue().startswith("data error:")
 
 
 class TestSeedEnvFallback:
@@ -766,8 +818,7 @@ class TestSeedEnvFallback:
         assert rc == 2
         assert captured.err.startswith("data error:")
         assert "seed" in captured.err and "Traceback" not in captured.err
-        assert "PASS" not in captured.out and not out.is_file()
-        assert not (out / "checkpoint.json").exists()
+        assert "PASS" not in captured.out and not out.exists()
 
 
 _MAPPED_BLOCKS_SCRIPT = """
