@@ -25,12 +25,14 @@ import numpy as np
 
 from .errors import DataError
 from .gan import Discriminator, Generator, LossHistory, TrainConfig, TrainedModel
+from .nn import Layout
 from .optim import AdamState
 from .scaling import ScalerParams
 
 FORMAT = "tsgan-checkpoint"
 VERSION = 2
 CONFIG_KEYS = frozenset(f.name for f in dataclasses.fields(TrainConfig))
+ADAM_KEYS = ("lr", "beta1", "beta2", "epsilon", "t")
 
 
 def _encode_array(a: np.ndarray) -> dict:
@@ -39,29 +41,14 @@ def _encode_array(a: np.ndarray) -> dict:
                 np.ascontiguousarray(a, dtype="<f8").tobytes()).decode("ascii")}
 
 
-def _decode_array(obj: dict) -> np.ndarray:
-    flat = np.frombuffer(base64.b64decode(obj["data"]), dtype="<f8")
-    return flat.reshape(obj["shape"]).copy()
-
-
 def _encode_blocks(blocks: dict[str, np.ndarray]) -> dict:
     return {name: _encode_array(a) for name, a in blocks.items()}
 
 
-def _decode_blocks(obj: dict) -> dict[str, np.ndarray]:
-    return {name: _decode_array(v) for name, v in obj.items()}
-
-
-def _encode_adam(state: AdamState) -> dict:
-    return {"lr": state.lr, "beta1": state.beta1, "beta2": state.beta2,
-            "epsilon": state.epsilon, "t": state.t,
-            "m": _encode_blocks(state.m), "v": _encode_blocks(state.v)}
-
-
-def _decode_adam(obj: dict) -> AdamState:
-    return AdamState(lr=obj["lr"], beta1=obj["beta1"], beta2=obj["beta2"],
-                     epsilon=obj["epsilon"], t=obj["t"],
-                     m=_decode_blocks(obj["m"]), v=_decode_blocks(obj["v"]))
+def _encode_adam(state: AdamState, layout: Layout) -> dict:
+    return {**{key: getattr(state, key) for key in ADAM_KEYS},
+            "m": _encode_blocks(layout.views(state.m)),
+            "v": _encode_blocks(layout.views(state.v))}
 
 
 @contextmanager
@@ -98,23 +85,27 @@ def save(path, model: TrainedModel) -> None:
         "rng_state": model.rng_state,
         "params": _encode_blocks({**model.generator.params(),
                                   **model.discriminator.params()}),
-        "adam_g": _encode_adam(model.adam_g),
-        "adam_d": _encode_adam(model.adam_d),
+        "adam_g": _encode_adam(model.adam_g, model.generator.layout),
+        "adam_d": _encode_adam(model.adam_d, model.discriminator.layout),
     }
     with atomic_write(path) as fh:
         json.dump(doc, fh, sort_keys=True, separators=(",", ":"))
         fh.write("\n")
 
 
-def _check_blocks(what: str, blocks: dict, shapes: dict) -> None:
-    """Block names and shapes must be exactly those the config builds."""
-    if set(blocks) != set(shapes):
+def _decode_blocks(what: str, obj: dict, layout: Layout) -> dict:
+    """The blocks of `obj`, decoded; their names and shapes must be
+    exactly those of `layout`, which the config builds."""
+    blocks = {name: np.frombuffer(base64.b64decode(a["data"]), dtype="<f8")
+              .reshape(a["shape"]) for name, a in obj.items()}
+    if set(blocks) != set(layout):
         raise DataError(f"{what}: blocks {sorted(blocks)} do not match the "
-                        f"config's {sorted(shapes)}")
-    for name, shape in shapes.items():
+                        f"config's {sorted(layout)}")
+    for name, shape in layout.items():
         if blocks[name].shape != shape:
             raise DataError(f"{what}: block {name!r} has shape "
                             f"{blocks[name].shape}, the config needs {shape}")
+    return blocks
 
 
 def _model_from(doc: dict) -> TrainedModel:
@@ -127,21 +118,16 @@ def _model_from(doc: dict) -> TrainedModel:
                           stddev=float(doc["scaler"]["stddev"]),
                           n_fitted=int(doc["scaler"]["n_fitted"]))
 
-    rng = np.random.default_rng(0)  # placeholder; weights are overwritten
-    gen = Generator(config, rng)
-    disc = Discriminator(config, rng)
-    gen_shapes = {name: p.shape for name, p in gen.params().items()}
-    disc_shapes = {name: p.shape for name, p in disc.params().items()}
-    params = _decode_blocks(doc["params"])
-    _check_blocks("params", params, {**gen_shapes, **disc_shapes})
-    for name, target in {**gen.params(), **disc.params()}.items():
-        target[...] = params[name]
-    adam_g = _decode_adam(doc["adam_g"])
-    adam_d = _decode_adam(doc["adam_d"])
-    for what, state, shapes in (("adam_g", adam_g, gen_shapes),
-                                ("adam_d", adam_d, disc_shapes)):
-        _check_blocks(f"{what}.m", state.m, shapes)
-        _check_blocks(f"{what}.v", state.v, shapes)
+    gen_layout = Generator.layout_for(config)
+    disc_layout = Discriminator.layout_for(config)
+    params = _decode_blocks("params", doc["params"],
+                            Layout({**gen_layout, **disc_layout}))
+    adam = {}
+    for what, layout in (("adam_g", gen_layout), ("adam_d", disc_layout)):
+        m, v = (layout.pack(_decode_blocks(f"{what}.{key}", doc[what][key],
+                                           layout)) for key in ("m", "v"))
+        adam[what] = AdamState(m, v, **{key: doc[what][key]
+                                        for key in ADAM_KEYS})
 
     rng_state = doc["rng_state"]
     bit_generator = np.random.PCG64()
@@ -153,8 +139,9 @@ def _model_from(doc: dict) -> TrainedModel:
     hist = doc["loss_history"]
     history = LossHistory(d_epoch=hist["d_epoch"], g_epoch=hist["g_epoch"],
                           d_batch=hist["d_batch"], g_batch=hist["g_batch"])
-    return TrainedModel(generator=gen, discriminator=disc,
-                        adam_g=adam_g, adam_d=adam_d,
+    return TrainedModel(generator=Generator(config, blocks=params),
+                        discriminator=Discriminator(config, blocks=params),
+                        adam_g=adam["adam_g"], adam_d=adam["adam_d"],
                         scaler=scaler, config=config, epoch=doc["epoch"],
                         history=history,
                         rng_state=bit_generator.state)

@@ -16,6 +16,8 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from . import checkpoint, data, gradcheck, metrics, scaling, svgplot
 from .errors import DataError, NumericError
 from .gan import TrainConfig, synthesize_series, train
@@ -232,13 +234,35 @@ def cmd_generate(args) -> int:
     return 0
 
 
+def _check_column(path, name: str, values) -> None:
+    """DataError naming `path` and column `name` unless `values` has two
+    or more entries whose spread is finite and not zero."""
+    if values.size < 2:
+        raise DataError(f"{path}: {name} needs at least 2 values, "
+                        f"got {values.size}")
+    with np.errstate(all="ignore"):
+        spread = np.std(values)
+    if not np.isfinite(spread):
+        raise DataError(f"{path}: the spread of {name} overflows float64")
+    if spread == 0:
+        raise DataError(f"{path}: {name} has zero variance")
+
+
 def cmd_evaluate(args) -> int:
     real, fake = data.read_floats(args.input, _GENERATED_COLUMNS)
-    original = metrics.evaluate(real, fake, scale="original")
-    scaler = scaling.fit(real)
-    normalized = metrics.evaluate(scaling.transform(real, scaler),
-                                  scaling.transform(fake, scaler),
-                                  scale="normalized")
+    for name, values in zip(_GENERATED_COLUMNS, (real, fake)):
+        _check_column(args.input, name, values)
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            original = metrics.evaluate(real, fake, scale="original")
+            scaler = scaling.fit(real)
+            normalized = metrics.evaluate(scaling.transform(real, scaler),
+                                          scaling.transform(fake, scaler),
+                                          scale="normalized")
+    except FloatingPointError as exc:
+        raise DataError(f"{args.input}: {' and '.join(_GENERATED_COLUMNS)} "
+                        f"are too far apart to compare in float64 "
+                        f"({exc})") from None
     report = {"original": original.to_dict(), "normalized": normalized.to_dict()}
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, sort_keys=True, indent=2)
@@ -310,6 +334,11 @@ def main(argv=None) -> int:
         return EXIT_NUMERIC
     except OSError as exc:  # a missing, unreadable or directory path
         print(f"data error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except MemoryError as exc:  # NumPy's names the size it could not get
+        detail = f": {exc}" if str(exc) else ""
+        print(f"data error: {args.command} ran out of memory{detail}",
+              file=sys.stderr)
         return EXIT_DATA
 
 

@@ -31,15 +31,18 @@ import numpy as np
 from . import scaling
 from .data import PairSet
 from .errors import DataError, NumericError
-from .nn import (INIT_SCHEMES, DenseLayer, LstmCell, LstmState,
+from .nn import (INIT_SCHEMES, DenseLayer, Layout, LstmCell, LstmState,
                  LstmWorkspace, check_lstm_state, clip_global_norm,
-                 dense_backward, dense_forward, lstm_backward,
+                 dense_backward, dense_forward, init_params, lstm_backward,
                  lstm_cache_rows, lstm_forward, lstm_step, step_weights)
 from .optim import AdamState, adam_step, bce_with_logits, bce_with_logits_grad
 
 LN2 = float(np.log(2.0))
 # conditioned synthesis runs the generator over this many windows a pass
 SYNTH_CHUNK = 512
+# NumPy warnings synthesis silences: it checks its states and values itself
+# and raises NumericError for a non-finite one, which is then the only message
+_QUIET = {"over": "ignore", "invalid": "ignore"}
 # per OpenBLAS build, its (get, set) thread-count functions, first found wins
 _OPENBLAS_THREADS = (
     ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
@@ -104,7 +107,26 @@ class LossHistory:
     g_batch: list = field(default_factory=list)
 
 
-class Generator:
+class _Net:
+    """Parameters as one float64 vector `theta`, whose blocks, named by
+    `layout`, the layers that `_bind` makes hold as views. A copied or
+    unpickled net binds its layers to its own `theta` again."""
+
+    def __init__(self, layout: Layout, blocks: dict[str, np.ndarray]):
+        self.layout = layout
+        self.theta = layout.pack(blocks)
+        self._bind(self.params())
+
+    def __setstate__(self, state):  # copy.deepcopy and pickle
+        self.__dict__.update(state)
+        self._bind(self.params())
+
+    def params(self) -> dict[str, np.ndarray]:
+        """The parameter blocks, as views into `theta`."""
+        return self.layout.views(self.theta)
+
+
+class Generator(_Net):
     """LSTM over the condition window plus repeated noise; scalar head.
 
     The generator owns the LSTM's workspace, so passes of one batch shape
@@ -115,18 +137,29 @@ class Generator:
     and everything downstream of the final state stay float64.
     """
 
-    def __init__(self, config: TrainConfig, rng: np.random.Generator):
+    def __init__(self, config: TrainConfig,
+                 rng: np.random.Generator | None = None, blocks=None):
+        """A net drawn from `rng` by the config's init scheme or, given
+        `blocks` named and shaped as in `layout_for(config)`, that net."""
+        h, scheme = config.hidden_size, config.init_scheme
         self.noise_dim = config.noise_dim
-        self.lstm = LstmCell.create(1 + config.noise_dim, config.hidden_size,
-                                    rng, config.init_scheme)
-        self.head = DenseLayer.create(config.hidden_size, 1, "identity",
-                                      rng, config.init_scheme)
+        if blocks is None:
+            blocks = {"gen.lstm.W": LstmCell.create(1 + self.noise_dim, h,
+                                                    rng, scheme).W,
+                      "gen.head.weights": init_params((1, h), scheme, rng),
+                      "gen.head.bias": np.zeros(1)}
+        super().__init__(self.layout_for(config), blocks)
         self.workspace = LstmWorkspace(np.float32)
 
-    def params(self) -> dict[str, np.ndarray]:
-        return {"gen.lstm.W": self.lstm.W,
-                "gen.head.weights": self.head.weights,
-                "gen.head.bias": self.head.bias}
+    def _bind(self, p: dict[str, np.ndarray]) -> None:
+        self.lstm = LstmCell(p["gen.lstm.W"])
+        self.head = DenseLayer(p["gen.head.weights"], p["gen.head.bias"])
+
+    @staticmethod
+    def layout_for(config: TrainConfig) -> Layout:
+        h = config.hidden_size
+        return Layout({"gen.lstm.W": (4 * h, h + 1 + config.noise_dim),
+                       "gen.head.weights": (1, h), "gen.head.bias": (1,)})
 
     def forward(self, conditions: np.ndarray, z: np.ndarray):
         """Values (k,) for the rows of `conditions` with noise rows `z`,
@@ -158,33 +191,48 @@ class Generator:
         cache = (lstm_cache_rows(lstm_cache, k), (x[k:], pre[k:]))
         return fake[:k], fake[k:], cache
 
-    def backward(self, cache, dxhat: np.ndarray) -> dict[str, np.ndarray]:
+    def backward(self, cache, dxhat: np.ndarray) -> np.ndarray:
+        """The parameter gradient, a vector in the layout of `theta`."""
         lstm_cache, head_cache = cache
-        dfinal, head_grads = dense_backward(self.head, head_cache,
-                                            dxhat[:, None])
+        dfinal, dhead, dbias = dense_backward(self.head, head_cache,
+                                              dxhat[:, None])
         dW, _ = lstm_backward(self.lstm, lstm_cache, dfinal)
-        return {"gen.lstm.W": dW,
-                "gen.head.weights": head_grads.weights,
-                "gen.head.bias": head_grads.bias}
+        return self.layout.pack({"gen.lstm.W": dW, "gen.head.weights": dhead,
+                                 "gen.head.bias": dbias})
 
 
-class Discriminator:
-    """MLP over [condition window, value]: ReLU hidden layers, logit out."""
+class Discriminator(_Net):
+    """MLP over [condition window, value]: ReLU hidden layers, logit out.
+    Its layout runs from the last layer to the first, the order in which
+    `backward` makes the gradient blocks."""
 
-    def __init__(self, config: TrainConfig, rng: np.random.Generator):
+    def __init__(self, config: TrainConfig,
+                 rng: np.random.Generator | None = None, blocks=None):
+        """As Generator: drawn from `rng`, or built from `blocks`."""
+        layout = self.layout_for(config)
+        if blocks is None:
+            blocks = {}
+            for i in range(len(layout) // 2):  # drawn first layer first
+                shape = layout[f"disc.{i}.weights"]
+                blocks[f"disc.{i}.weights"] = init_params(
+                    shape, config.init_scheme, rng)
+                blocks[f"disc.{i}.bias"] = np.zeros(shape[0])
+        super().__init__(layout, blocks)
+
+    def _bind(self, p: dict[str, np.ndarray]) -> None:
+        n = len(p) // 2  # a weight and a bias block a layer
+        self.layers = [DenseLayer(p[f"disc.{i}.weights"], p[f"disc.{i}.bias"],
+                                  "relu" if i < n - 1 else "identity")
+                       for i in range(n)]
+
+    @staticmethod
+    def layout_for(config: TrainConfig) -> Layout:
         widths = [config.condition_dim + 1, *config.disc_layers, 1]
-        self.layers = []
-        for i in range(len(widths) - 1):
-            act = "identity" if i == len(widths) - 2 else "relu"
-            self.layers.append(DenseLayer.create(widths[i], widths[i + 1],
-                                                 act, rng, config.init_scheme))
-
-    def params(self) -> dict[str, np.ndarray]:
-        out = {}
-        for i, layer in enumerate(self.layers):
-            out[f"disc.{i}.weights"] = layer.weights
-            out[f"disc.{i}.bias"] = layer.bias
-        return out
+        shapes = {}
+        for i in reversed(range(len(widths) - 1)):
+            shapes[f"disc.{i}.weights"] = (widths[i + 1], widths[i])
+            shapes[f"disc.{i}.bias"] = (widths[i + 1],)
+        return Layout(shapes)
 
     def forward(self, conditions: np.ndarray, values: np.ndarray):
         """Returns (logits (k,), caches)."""
@@ -198,19 +246,14 @@ class Discriminator:
         return x[:, 0], caches
 
     def backward(self, caches, dlogits: np.ndarray):
-        """Returns (gradient w.r.t. the stacked input, parameter grads)."""
+        """Returns (gradient w.r.t. the stacked input, parameter gradient
+        as a vector in the layout of `theta`)."""
         g = dlogits[:, None]
         grads = {}
         for i in range(len(self.layers) - 1, -1, -1):
-            g, layer_grads = dense_backward(self.layers[i], caches[i], g)
-            grads[f"disc.{i}.weights"] = layer_grads.weights
-            grads[f"disc.{i}.bias"] = layer_grads.bias
-        return g, grads
-
-
-def _clip(grads: dict[str, np.ndarray], clip_norm: float) -> None:
-    if clip_norm > 0:
-        clip_global_norm(list(grads.values()), clip_norm)
+            g, grads[f"disc.{i}.weights"], grads[f"disc.{i}.bias"] = \
+                dense_backward(self.layers[i], caches[i], g)
+        return g, self.layout.pack(grads)
 
 
 def train_discriminator_step(disc: Discriminator, conditions: np.ndarray,
@@ -224,10 +267,10 @@ def train_discriminator_step(disc: Discriminator, conditions: np.ndarray,
     logits, caches = disc.forward(np.concatenate([conditions, conditions]),
                                   np.concatenate([targets, fake]))
     loss = bce_with_logits(logits, labels)
-    _, grads = disc.backward(caches,
-                             bce_with_logits_grad(logits, labels) / (2 * k))
-    _clip(grads, clip_norm)
-    adam_step(disc.params(), grads, adam_d)
+    _, grad = disc.backward(caches,
+                            bce_with_logits_grad(logits, labels) / (2 * k))
+    clip_global_norm(grad, clip_norm, disc.layout)
+    adam_step(disc.theta, grad, adam_d, disc.layout)
     return loss
 
 
@@ -243,9 +286,9 @@ def train_generator_step(gen: Generator, disc: Discriminator,
 
     dlogits = bce_with_logits_grad(logits, 1.0) / k
     dinput, _ = disc.backward(disc_caches, dlogits)
-    grads = gen.backward(gen_cache, dinput[:, -1])
-    _clip(grads, clip_norm)
-    adam_step(gen.params(), grads, adam_g)
+    grad = gen.backward(gen_cache, dinput[:, -1])
+    clip_global_norm(grad, clip_norm, gen.layout)
+    adam_step(gen.theta, grad, adam_g, gen.layout)
     return loss
 
 
@@ -277,8 +320,9 @@ def train(config: TrainConfig, pairs: PairSet, scaler: scaling.ScalerParams,
     rng = np.random.default_rng(config.seed)
     gen = Generator(config, rng)
     disc = Discriminator(config, rng)
-    adam_g = AdamState(lr=config.lr, beta1=config.beta1, beta2=config.beta2)
-    adam_d = AdamState(lr=config.lr, beta1=config.beta1, beta2=config.beta2)
+    adam_g, adam_d = (AdamState.zeros(net.theta.size, lr=config.lr,
+                                      beta1=config.beta1, beta2=config.beta2)
+                      for net in (gen, disc))
     history = LossHistory()
 
     k = config.batch_size
@@ -422,7 +466,9 @@ def _conditioned(gen: Generator, windows: np.ndarray, zs: np.ndarray,
                 return
             rows = slice(start, start + SYNTH_CHUNK)
             try:
-                out[rows] = _conditioned_chunk(gen, windows[rows], zs[rows])
+                with np.errstate(**_QUIET):  # a thread starts with defaults
+                    out[rows] = _conditioned_chunk(gen, windows[rows],
+                                                   zs[rows])
             except Exception as exc:  # re-raised on the calling thread
                 with lock:
                     errors[start] = exc
@@ -486,22 +532,24 @@ def synthesize_series(gen: Generator, scaler: scaling.ScalerParams,
         h = gen.lstm.hidden_size
         z = s[:h]
         head_in = np.empty((1, h))
-        for tick in range(m + d - 1):
-            if tick < m:
-                col = tick % d
-                c_prev[:, col] = 0.0
-                z[:, col] = 0.0
-                s[h + 1:, col] = zs[tick]
-            s[h] = buf[tick]
-            lstm_step(W, s, p, c_prev, c, tc, z, ig)
-            check_lstm_state(c, z)
-            if tick >= d - 1:
-                head_in[0] = z[:, (tick + 1) % d]
-                value, _ = dense_forward(gen.head, head_in)
-                if not np.isfinite(value[0, 0]):
-                    raise NumericError("generator produced non-finite output")
-                buf[tick + 1] = value[0, 0]
-            c_prev, c = c, c_prev
+        with np.errstate(**_QUIET):
+            for tick in range(m + d - 1):
+                if tick < m:
+                    col = tick % d
+                    c_prev[:, col] = 0.0
+                    z[:, col] = 0.0
+                    s[h + 1:, col] = zs[tick]
+                s[h] = buf[tick]
+                lstm_step(W, s, p, c_prev, c, tc, z, ig)
+                check_lstm_state(c, z)
+                if tick >= d - 1:
+                    head_in[0] = z[:, (tick + 1) % d]
+                    value, _ = dense_forward(gen.head, head_in)
+                    if not np.isfinite(value[0, 0]):
+                        raise NumericError(
+                            "generator produced non-finite output")
+                    buf[tick + 1] = value[0, 0]
+                c_prev, c = c, c_prev
         out = buf[d:]
     else:
         raise DataError(f"unknown synthesis mode {mode!r}")

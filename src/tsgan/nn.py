@@ -19,10 +19,14 @@ is valid until the next forward on the same workspace. Synthesis keeps
 no trajectory and calls lstm_step on buffers of one step. The
 workspace's dtype is the dtype the cell computes in (the generator uses
 float32); weights, final states and gradients stay float64.
+
+A `Layout` names the blocks of one flat float64 vector: a net's
+parameters, whose layers hold views of them, its gradient, or a moment.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,18 +54,35 @@ INIT_SCHEMES = ("zeros", "uniform-xavier")
 
 
 def init_params(shape, scheme: str, rng: np.random.Generator) -> np.ndarray:
-    """Fresh parameter array: 'zeros' or 'uniform-xavier' (fan-based bound)."""
+    """Fresh parameter array: 'zeros', or for a (fan_out, fan_in) weight
+    matrix 'uniform-xavier' (fan-based bound)."""
     if scheme == "zeros":
         return np.zeros(shape, dtype=np.float64)
     if scheme == "uniform-xavier":
-        shape = tuple(np.atleast_1d(shape))
-        if len(shape) == 2:
-            fan_out, fan_in = shape
-        else:
-            fan_in = fan_out = shape[0]
+        fan_out, fan_in = shape
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         return rng.uniform(-limit, limit, size=shape)
     raise ValueError(f"unknown init scheme {scheme!r}")
+
+
+class Layout(dict):
+    """Block name -> shape, in the order the blocks lie end to end in one
+    flat float64 vector."""
+
+    def views(self, vector: np.ndarray) -> dict[str, np.ndarray]:
+        """Each block of `vector`, by name, as a view of its shape."""
+        blocks, start = {}, 0
+        for name, shape in self.items():
+            stop = start + math.prod(shape)
+            blocks[name] = vector[start:stop].reshape(shape)
+            start = stop
+        return blocks
+
+    def pack(self, blocks: dict[str, np.ndarray]) -> np.ndarray:
+        """A fresh vector of the blocks named in the layout, taken from
+        `blocks`, which must have the layout's shapes."""
+        return np.concatenate([np.ravel(blocks[name]) for name in self],
+                              dtype=np.float64)
 
 
 @dataclass
@@ -69,18 +90,6 @@ class DenseLayer:
     weights: np.ndarray  # (out, in)
     bias: np.ndarray     # (out,)
     activation: str = "identity"
-
-    @classmethod
-    def create(cls, in_size: int, out_size: int, activation: str,
-               rng: np.random.Generator, scheme: str = "uniform-xavier"):
-        return cls(weights=init_params((out_size, in_size), scheme, rng),
-                   bias=np.zeros(out_size), activation=activation)
-
-
-@dataclass
-class DenseGrads:
-    weights: np.ndarray
-    bias: np.ndarray
 
 
 def dense_forward(layer: DenseLayer, x):
@@ -94,11 +103,11 @@ def dense_forward(layer: DenseLayer, x):
 
 
 def dense_backward(layer: DenseLayer, cache, upstream):
-    """Chain rule through one dense layer; batch gradients are summed."""
+    """Chain rule through one dense layer: the input gradient, then the
+    weight and bias gradients, summed over the batch."""
     x, pre = cache
     g = upstream * _activation_grad(layer.activation, pre)
-    grads = DenseGrads(weights=g.T @ x, bias=g.sum(axis=0))
-    return g @ layer.weights, grads
+    return g @ layer.weights, g.T @ x, g.sum(axis=0)
 
 
 @dataclass
@@ -358,11 +367,12 @@ def global_norm(arrays) -> float:
     return float(np.sqrt(sum(float(np.sum(a * a)) for a in arrays)))
 
 
-def clip_global_norm(arrays, max_norm: float) -> float:
-    """Scale all arrays in place so their joint L2 norm is <= max_norm."""
-    norm = global_norm(arrays)
+def clip_global_norm(vector: np.ndarray, max_norm: float,
+                     layout: Layout) -> float:
+    """Scale `vector` in place so its L2 norm is <= max_norm; returns the
+    norm before scaling. The squares are summed one block of `layout`
+    after another, so the norm rounds the same as over separate blocks."""
+    norm = global_norm(layout.views(vector).values())
     if max_norm > 0 and norm > max_norm:
-        scale = max_norm / norm
-        for a in arrays:
-            a *= scale
+        vector *= max_norm / norm
     return norm

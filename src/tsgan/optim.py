@@ -8,7 +8,7 @@ directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,42 +51,44 @@ def bce_with_logits_grad(logits, labels):
 
 @dataclass
 class AdamState:
-    """Per-parameter-block first/second moments plus the shared step count."""
+    """First and second moments, each one vector in the layout of the
+    parameter vector they update, plus the step count."""
 
+    m: np.ndarray
+    v: np.ndarray
     lr: float = 2e-4
     beta1: float = 0.5
     beta2: float = 0.999
     epsilon: float = 1e-8
     t: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+
+    @classmethod
+    def zeros(cls, size: int, **hyper) -> AdamState:
+        """Zero moments for a parameter vector of `size` elements."""
+        return cls(np.zeros(size), np.zeros(size), **hyper)
 
 
-def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-              state: AdamState) -> None:
-    """One Adam update, in place, over named parameter blocks.
+def adam_step(theta: np.ndarray, grad: np.ndarray, state: AdamState,
+              layout) -> None:
+    """One Adam update of the parameter vector `theta`, in place.
 
-    m and v are decayed running moments of g and g**2; both are
-    bias-corrected by the step count before the parameter update.
+    `grad`, m and v are vectors in theta's `layout` (an nn.Layout). m and v
+    are decayed running moments of g and g**2; both are bias-corrected by
+    the step count before the parameter update. A non-finite gradient
+    changes nothing and raises NumericError naming the first block of
+    `layout` that holds one.
     """
+    if not np.all(np.isfinite(grad)):
+        name = next(name for name, g in layout.views(grad).items()
+                    if not np.all(np.isfinite(g)))
+        raise NumericError(f"non-finite gradient in block {name!r}")
     state.t += 1
-    t = state.t
-    for name, theta in params.items():
-        g = grads[name]
-        if g.shape != theta.shape:
-            raise NumericError(f"gradient shape {g.shape} != parameter shape "
-                               f"{theta.shape} for block {name!r}")
-        if not np.all(np.isfinite(g)):
-            raise NumericError(f"non-finite gradient in block {name!r}")
-        if name not in state.m:
-            state.m[name] = np.zeros_like(theta)
-            state.v[name] = np.zeros_like(theta)
-        m = state.m[name]
-        v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * g * g
-        m_hat = m / (1.0 - state.beta1 ** t)
-        v_hat = v / (1.0 - state.beta2 ** t)
-        theta -= state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
+    m, v = state.m, state.v
+    m *= state.beta1
+    m += (1.0 - state.beta1) * grad
+    v *= state.beta2
+    v += (1.0 - state.beta2) * grad * grad
+    step = m / (1.0 - state.beta1 ** state.t)
+    step *= state.lr
+    step /= np.sqrt(v / (1.0 - state.beta2 ** state.t)) + state.epsilon
+    theta -= step

@@ -12,12 +12,14 @@ from datetime import datetime, timedelta, timezone
 
 import mpmath
 import numpy as np
+import pytest
 import scipy.stats
 
 from tsgan import data, metrics, scaling
 from tsgan.cli import main
 from tsgan.gan import LN2, TrainConfig, synthesize_series, train
 from tsgan.gradcheck import run_suite
+from tsgan.nn import Layout
 from tsgan.optim import AdamState, adam_step, bce_with_logits
 
 
@@ -90,12 +92,13 @@ def test_bce_stability():
 def test_adam_reference_trace():
     """Ten Adam steps on f(w) = w^2 from w=1 match an independent scalar
     implementation to 1e-12."""
-    params = {"w": np.array([1.0])}
-    state = AdamState(lr=2e-4, beta1=0.5, beta2=0.999, epsilon=1e-8)
+    theta = np.array([1.0])
+    state = AdamState.zeros(1, lr=2e-4, beta1=0.5, beta2=0.999, epsilon=1e-8)
     mine = []
     for _ in range(10):
-        adam_step(params, {"w": np.array([2.0 * params["w"][0]])}, state)
-        mine.append(params["w"][0])
+        adam_step(theta, np.array([2.0 * theta[0]]), state,
+                  Layout({"w": (1,)}))
+        mine.append(theta[0])
 
     theta, m, v = 1.0, 0.0, 0.0
     worst = 0.0
@@ -109,6 +112,7 @@ def test_adam_reference_trace():
     _verdict("adam trace", worst <= 1e-12, f"max deviation {worst:.2e}")
 
 
+@pytest.mark.slow
 def test_surrogate_sine_run():
     """Full training run on a noisy sine surrogate with default
     hyperparameters; one-step conditional generation must track the real

@@ -38,6 +38,17 @@ def price_csv(tmp_path):
     return p
 
 
+def run_cli(*argv):
+    """`python -m tsgan.cli argv` in a fresh interpreter, for tests of what
+    reaches the real stderr (pytest collects warnings itself)."""
+    src = str(Path(tsgan.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "tsgan.cli",
+                           *map(str, argv)], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
 def train_args(price_csv, out_dir, **extra):
     args = ["train", "--input", str(price_csv), "--out", str(out_dir),
             "--epochs", "1", "--cond-dim", "8", "--batch-size", "16",
@@ -146,6 +157,17 @@ class TestTrain:
         assert "config" in err.lower()
         assert not (tmp_path / "run").exists()
 
+    def test_out_of_memory_exit_2(self, price_csv, tmp_path, capsys,
+                                  monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 2.84 PiB for an array")
+
+        monkeypatch.setattr(tsgan.cli, "train", exhausted)
+        assert main(train_args(price_csv, tmp_path / "run")) == 2
+        assert capsys.readouterr().err == (
+            "data error: train ran out of memory: Unable to allocate "
+            "2.84 PiB for an array\n")
+
     def test_zero_clip_norm_still_trains(self, price_csv, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"clip_norm": 0}')
@@ -251,6 +273,25 @@ class TestGenerate:
         assert rc == 3
         assert err.startswith("numeric error:")
         assert "Traceback" not in err
+
+    def test_inf_weight_prints_only_the_message(self, price_csv, run_dir,
+                                                tmp_path):
+        # inf in the first noise column of W: the recursive wavefront's idle
+        # columns hold zero noise, and inf * 0 in the gates' matmul made
+        # NumPy warn ahead of the state check (threads: test_gan.py)
+        doc = json.loads((run_dir / "checkpoint.json").read_text())
+        block = doc["params"]["gen.lstm.W"]
+        W = np.frombuffer(base64.b64decode(block["data"]), "<f8").reshape(
+            block["shape"]).copy()
+        W[:, W.shape[0] // 4 + 1] = np.inf
+        block["data"] = base64.b64encode(W.tobytes()).decode()
+        bad = tmp_path / "inf.json"
+        bad.write_text(json.dumps(doc))
+        proc = run_cli("generate", "--checkpoint", bad, "--input", price_csv,
+                       "--out", tmp_path / "g.csv", "--mode", "recursive")
+        assert proc.returncode == 3
+        assert proc.stderr == ("numeric error: non-finite LSTM state in "
+                               "forward pass\n")
 
     @staticmethod
     def _generate_from_nan_lstm(price_csv, run_dir, tmp_path, capsys, mode):
@@ -426,6 +467,46 @@ class TestEvaluate:
         assert "Traceback" not in err
         assert f"data row 2: {column} {reason}" in err
         assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("real, fake, message", [
+        # finite values whose spread overflows float64
+        ([1e308, -1e308, 1e308], [1.0, 2.0, 3.0],
+         "the spread of real_close overflows float64"),
+        ([1.0, 2.0, 3.0], [1e308, -1e308, 1e308],
+         "the spread of generated_close overflows float64"),
+        ([1.0], [1.0], "real_close needs at least 2 values, got 1"),
+        ([1.0, 2.0], [3.0, 3.0], "generated_close has zero variance"),
+        # each column's spread is finite, Pearson's product of the two not
+        ([1e150, -1e150, 0.0], [-1e150, 1e150, 0.0],
+         "real_close and generated_close are too far apart to compare in "
+         "float64 (overflow encountered in")],
+        ids=["real-spread", "generated-spread", "one-row", "constant",
+             "together"])
+    def test_unusable_column_exit_2(self, tmp_path, capsys, real, fake,
+                                    message):
+        gen_csv = tmp_path / "g.csv"
+        gen_csv.write_text("timestamp,real_close,generated_close\n" + "".join(
+            f"t{i},{a!r},{b!r}\n" for i, (a, b) in enumerate(zip(real, fake))))
+        rc = main(["evaluate", "--input", str(gen_csv),
+                   "--out", str(tmp_path / "m.json")])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            f"data error: {gen_csv}: {message}")
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("rows", [
+        "t0,1e308,1.0\nt1,-1e308,2.0\nt2,1e308,3.0\n", "t0,1.0,1.0\n"],
+        ids=["real-spread", "one-row"])
+    def test_unusable_column_prints_only_the_message(self, tmp_path, rows):
+        gen_csv = tmp_path / "g.csv"
+        gen_csv.write_text("timestamp,real_close,generated_close\n" + rows)
+        proc = run_cli("evaluate", "--input", gen_csv,
+                       "--out", tmp_path / "m.json")
+        assert proc.returncode == 2
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"data error: {gen_csv}: ")
+        assert "real_close" in lines[0]
 
     def test_blank_line_is_not_a_data_row(self, tmp_path, capsys):
         gen_csv = tmp_path / "g.csv"

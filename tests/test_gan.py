@@ -1,9 +1,11 @@
 import contextlib
 import copy
 import math
+import pickle
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -35,6 +37,10 @@ def toy_scaler():
     return scaling.ScalerParams(mean=100.0, stddev=5.0, n_fitted=100)
 
 
+def adam_for(net, **hyper):
+    return AdamState.zeros(net.theta.size, **hyper)
+
+
 def params_checksum(params):
     return {k: v.copy() for k, v in params.items()}
 
@@ -56,12 +62,12 @@ def two_pass_d_step(disc, conditions, targets, fake, adam_d, clip_norm=5.0):
                   + bce_with_logits(logits_fake, 0.0))
     d_real = 0.5 * bce_with_logits_grad(logits_real, 1.0) / k
     d_fake = 0.5 * bce_with_logits_grad(logits_fake, 0.0) / k
-    _, grads_real = disc.backward(caches_real, d_real)
-    _, grads_fake = disc.backward(caches_fake, d_fake)
-    grads = {name: grads_real[name] + grads_fake[name] for name in grads_real}
+    _, grad_real = disc.backward(caches_real, d_real)
+    _, grad_fake = disc.backward(caches_fake, d_fake)
+    grad = grad_real + grad_fake
     if clip_norm > 0:
-        clip_global_norm(list(grads.values()), clip_norm)
-    adam_step(disc.params(), grads, adam_d)
+        clip_global_norm(grad, clip_norm, disc.layout)
+    adam_step(disc.theta, grad, adam_d, disc.layout)
     return loss
 
 
@@ -183,7 +189,7 @@ class TestGenerator:
             gen.backward(first, np.ones(2))
         _, second = gen.forward(cond, z)
         fresh = gen.backward(second, np.ones(2))
-        assert set(fresh) == set(gen.params())
+        assert fresh.shape == gen.theta.shape
 
     def test_workspace_is_float32(self):
         gen = Generator(toy_config(), np.random.default_rng(25))
@@ -197,7 +203,7 @@ class TestGenerator:
             {np.dtype(np.float32)}
         # master weights, outputs and gradients stay float64
         assert {a.dtype for a in (out, *gen.params().values(),
-                                  *grads.values())} == {np.dtype(np.float64)}
+                                  grads)} == {np.dtype(np.float64)}
 
     @pytest.mark.parametrize("k", [1, 64, 1024])
     def test_float32_forward_agrees_with_float64(self, k):
@@ -226,6 +232,88 @@ class TestGenerator:
         # the double-width pass computes both halves like two single passes
         np.testing.assert_array_equal(fake_d, kept)
         np.testing.assert_array_equal(fake_g, kept)
+
+
+def reference_init(config, rng):
+    """Both nets' first blocks, drawn as they were before the flat layout:
+    per LSTM gate the input block, then the state block, then the head;
+    then the discriminator's layers, first to first; biases zero."""
+    def xavier(fan_out, fan_in):
+        limit = np.sqrt(6.0 / (fan_in + fan_out))
+        return rng.uniform(-limit, limit, size=(fan_out, fan_in))
+
+    h, n_in = config.hidden_size, 1 + config.noise_dim
+    W = np.empty((4 * h, h + n_in))
+    for gate in range(4):
+        W[gate * h:(gate + 1) * h, h:] = xavier(h, n_in)
+        W[gate * h:(gate + 1) * h, :h] = xavier(h, h)
+    blocks = {"gen.lstm.W": W, "gen.head.weights": xavier(1, h),
+              "gen.head.bias": np.zeros(1)}
+    widths = [config.condition_dim + 1, *config.disc_layers, 1]
+    for i in range(len(widths) - 1):
+        blocks[f"disc.{i}.weights"] = xavier(widths[i + 1], widths[i])
+        blocks[f"disc.{i}.bias"] = np.zeros(widths[i + 1])
+    return blocks
+
+
+class TestFlatParameters:
+    @pytest.mark.parametrize("config", [TrainConfig(), toy_config(seed=3)],
+                             ids=["default", "toy"])
+    def test_seeded_init_draws_in_the_old_order(self, config):
+        rng = np.random.default_rng(config.seed)
+        gen, disc = Generator(config, rng), Discriminator(config, rng)
+        ref = reference_init(config, np.random.default_rng(config.seed))
+        params = {**gen.params(), **disc.params()}
+        assert params.keys() == ref.keys()
+        for name, block in params.items():
+            assert block.tobytes() == ref[name].tobytes(), name
+
+    def test_layers_and_params_are_views_of_theta(self):
+        gen = Generator(toy_config(), np.random.default_rng(0))
+        disc = Discriminator(toy_config(), np.random.default_rng(1))
+        for net, arrays in ((gen, [gen.lstm.W, gen.head.weights,
+                                   gen.head.bias]),
+                            (disc, [a for layer in disc.layers
+                                    for a in (layer.weights, layer.bias)])):
+            assert net.theta.dtype == np.float64
+            assert net.theta.size == sum(a.size for a in arrays)
+            for a in [*arrays, *net.params().values()]:
+                assert np.shares_memory(a, net.theta)
+
+    @pytest.mark.parametrize("duplicate", [
+        copy.deepcopy, lambda net: pickle.loads(pickle.dumps(net))],
+        ids=["deepcopy", "pickle"])
+    @pytest.mark.parametrize("net", [Generator, Discriminator])
+    def test_a_copy_binds_its_layers_to_its_own_theta(self, net, duplicate):
+        # NumPy copies each view apart from its base
+        original = net(toy_config(), np.random.default_rng(2))
+        twin = duplicate(original)
+        twin.theta += 1.0
+        assert not np.shares_memory(twin.theta, original.theta)
+        layers = ([twin.lstm, twin.head] if net is Generator
+                  else twin.layers)
+        for layer in layers:
+            for a in vars(layer).values():
+                if isinstance(a, np.ndarray):
+                    assert np.shares_memory(a, twin.theta)
+        for name, block in twin.params().items():
+            np.testing.assert_array_equal(block,
+                                          original.params()[name] + 1.0)
+
+    def test_load_draws_nothing(self, tmp_path, monkeypatch):
+        model = train(toy_config(epochs=1, seed=5), toy_pairs(seed=5),
+                      toy_scaler())
+        checkpoint.save(tmp_path / "c.json", model)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a net built from blocks drew an init")
+
+        monkeypatch.setattr(gan, "init_params", no_draw)
+        monkeypatch.setattr(gan.LstmCell, "create", no_draw)
+        loaded = checkpoint.load(tmp_path / "c.json")
+        for net in ("generator", "discriminator"):
+            np.testing.assert_array_equal(getattr(loaded, net).theta,
+                                          getattr(model, net).theta)
 
 
 class TestDiscriminator:
@@ -265,9 +353,10 @@ class TestTrainingSteps:
         cond = np.random.default_rng(1).standard_normal((2, 4))
         target = np.array([0.1, -0.2])
         fake_d, fake_g, gen_cache = pair_pass(gen, cond, rng)
-        ld = train_discriminator_step(disc, cond, target, fake_d, AdamState())
+        ld = train_discriminator_step(disc, cond, target, fake_d,
+                                      adam_for(disc))
         lg = train_generator_step(gen, disc, cond, fake_g, gen_cache,
-                                  AdamState())
+                                  adam_for(gen))
         assert ld == pytest.approx(LN2, abs=1e-12)
         assert lg == pytest.approx(LN2, abs=1e-12)
 
@@ -288,7 +377,7 @@ class TestTrainingSteps:
         cond = rng.standard_normal((2, 4))
         fake_d, _, _ = pair_pass(gen, cond, rng)
         train_discriminator_step(disc, cond, np.array([0.1, 0.2]), fake_d,
-                                 AdamState())
+                                 adam_for(disc))
         for name, value in gen.params().items():
             np.testing.assert_array_equal(value, before[name])
 
@@ -300,7 +389,8 @@ class TestTrainingSteps:
         before = params_checksum(disc.params())
         cond = rng.standard_normal((2, 4))
         _, fake_g, gen_cache = pair_pass(gen, cond, rng)
-        train_generator_step(gen, disc, cond, fake_g, gen_cache, AdamState())
+        train_generator_step(gen, disc, cond, fake_g, gen_cache,
+                             adam_for(gen))
         for name, value in disc.params().items():
             np.testing.assert_array_equal(value, before[name])
 
@@ -313,7 +403,7 @@ class TestTrainingSteps:
         cond = rng.standard_normal((2, 4))
         _, fake_g, gen_cache = pair_pass(gen, cond, rng)
         train_generator_step(gen, disc, cond, fake_g, gen_cache,
-                             AdamState(lr=1e-3))
+                             adam_for(gen, lr=1e-3))
         changed = any(not np.array_equal(v, before[k])
                       for k, v in gen.params().items())
         assert changed
@@ -326,9 +416,9 @@ class TestTrainingSteps:
         cond = rng.standard_normal((2, 4))
         fake_d, fake_g, gen_cache = pair_pass(gen, cond, rng)
         ld = train_discriminator_step(disc, cond, np.array([0.3, -0.3]),
-                                      fake_d, AdamState())
+                                      fake_d, adam_for(disc))
         lg = train_generator_step(gen, disc, cond, fake_g, gen_cache,
-                                  AdamState())
+                                  adam_for(gen))
         assert math.isfinite(ld) and ld > 0
         assert math.isfinite(lg) and lg > 0
 
@@ -345,7 +435,7 @@ class TestTrainingSteps:
         gen = Generator(config, rng)
         disc = Discriminator(config, rng)
         ref_disc = copy.deepcopy(disc)
-        adam_d, ref_adam = AdamState(**adam), AdamState(**adam)
+        adam_d, ref_adam = adam_for(disc, **adam), adam_for(disc, **adam)
         gen_before = params_checksum(gen.params())
         for _ in range(3):
             cond = rng.standard_normal((k, 4))
@@ -538,6 +628,26 @@ class TestThreadedSynthesis:
         ref = conditioned_reference(gen, scaler, closes, d, seed=m)
         assert out.tobytes() == ref.tobytes()
 
+    def test_non_finite_weights_warn_on_no_thread(self, monkeypatch):
+        # inf and -inf in the two noise columns of W: the gates' matmul
+        # meets inf - inf. A thread starts with NumPy's default error
+        # state, so each sets its own, and only the state check speaks.
+        self.pin_workers(monkeypatch, 2)
+        monkeypatch.setattr(gan, "SYNTH_CHUNK", 4)
+        gen = Generator(toy_config(), np.random.default_rng(36))
+        h = gen.lstm.hidden_size
+        gen.lstm.W[:, h + 1] = np.inf
+        gen.lstm.W[:, h + 2] = -np.inf
+        closes = np.random.default_rng(37).uniform(90, 110, 84)
+        for mode in ("conditioned", "recursive"):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(NumericError,
+                                   match="non-finite LSTM state"):
+                    synthesize_series(gen, scaling.fit(closes), closes,
+                                      condition_dim=4, mode=mode)
+            assert caught == []
+
     def test_more_threads_than_cores_lose_no_chunk(self, monkeypatch):
         # 4-row chunks, 8 threads and a short switch interval: a chunk
         # taken twice or never would change or leave unset some values
@@ -657,7 +767,12 @@ class TestCheckpointRoundTrip:
             np.testing.assert_array_equal(loaded.discriminator.params()[name], value)
         assert loaded.adam_g.t == model.adam_g.t
         np.testing.assert_array_equal(
-            loaded.adam_g.m["gen.head.weights"], model.adam_g.m["gen.head.weights"])
+            loaded.generator.layout.views(loaded.adam_g.m)["gen.head.weights"],
+            model.generator.layout.views(model.adam_g.m)["gen.head.weights"])
+        for ours, theirs in ((loaded.adam_g, model.adam_g),
+                             (loaded.adam_d, model.adam_d)):
+            np.testing.assert_array_equal(ours.m, theirs.m)
+            np.testing.assert_array_equal(ours.v, theirs.v)
 
     def test_save_is_byte_deterministic(self, tmp_path):
         config = toy_config(epochs=1, seed=22)
@@ -736,9 +851,6 @@ class TestCheckpointRoundTrip:
         for ours, theirs in ((resumed.adam_g, full.adam_g),
                              (resumed.adam_d, full.adam_d)):
             assert ours.t == theirs.t
-            for moments, full_moments in ((ours.m, theirs.m),
-                                          (ours.v, theirs.v)):
-                assert moments.keys() == full_moments.keys()
-                for name, value in full_moments.items():
-                    np.testing.assert_array_equal(moments[name], value)
+            np.testing.assert_array_equal(ours.m, theirs.m)
+            np.testing.assert_array_equal(ours.v, theirs.v)
         assert rng.bit_generator.state == full.rng_state

@@ -78,17 +78,17 @@ class TestDense:
         layer = nn.DenseLayer(rng.standard_normal((4, 3)),
                               rng.standard_normal(4), "relu")
         _, cache = nn.dense_forward(layer, rng.standard_normal((1, 3)))
-        dx, grads = nn.dense_backward(layer, cache, np.zeros((1, 4)))
+        dx, dweights, dbias = nn.dense_backward(layer, cache, np.zeros((1, 4)))
         assert not np.any(dx)
-        assert not np.any(grads.weights) and not np.any(grads.bias)
+        assert not np.any(dweights) and not np.any(dbias)
 
     def test_backward_linear_case(self):
         layer = nn.DenseLayer(np.array([[2.0, 3.0]]), np.zeros(1), "identity")
         x = np.array([[5.0, 7.0]])
         _, cache = nn.dense_forward(layer, x)
         upstream = np.array([[1.5]])
-        dx, grads = nn.dense_backward(layer, cache, upstream)
-        np.testing.assert_array_equal(grads.weights, upstream.T * x)
+        dx, dweights, _ = nn.dense_backward(layer, cache, upstream)
+        np.testing.assert_array_equal(dweights, upstream.T * x)
         np.testing.assert_array_equal(dx, upstream @ layer.weights)
 
     def test_shape_mismatch(self):
@@ -412,12 +412,27 @@ class TestGradsVsFiniteDifferences:
 
 class TestClip:
     def test_clip_reduces_norm(self):
-        arrays = [np.full(4, 10.0), np.full(3, -10.0)]
-        nn.clip_global_norm(arrays, 5.0)
-        assert nn.global_norm(arrays) == pytest.approx(5.0)
+        vector = np.r_[np.full(4, 10.0), np.full(3, -10.0)]
+        layout = nn.Layout({"a": (2, 2), "b": (3,)})
+        assert nn.clip_global_norm(vector, 5.0, layout) == \
+            pytest.approx(np.sqrt(700.0))
+        assert np.linalg.norm(vector) == pytest.approx(5.0)
 
     def test_no_clip_below_threshold(self):
-        arrays = [np.array([0.1, 0.2])]
-        before = [a.copy() for a in arrays]
-        nn.clip_global_norm(arrays, 5.0)
-        np.testing.assert_array_equal(arrays[0], before[0])
+        vector = np.array([0.1, 0.2])
+        nn.clip_global_norm(vector, 5.0, nn.Layout({"a": (2,)}))
+        np.testing.assert_array_equal(vector, [0.1, 0.2])
+
+
+class TestLayout:
+    def test_views_share_the_vector_and_pack_copies(self):
+        layout = nn.Layout({"W": (2, 3), "b": (2,)})
+        vector = np.arange(8.0)
+        views = layout.views(vector)
+        np.testing.assert_array_equal(views["W"], [[0, 1, 2], [3, 4, 5]])
+        np.testing.assert_array_equal(views["b"], [6, 7])
+        views["b"][0] = -1.0
+        assert vector[6] == -1.0
+        packed = layout.pack({"b": views["b"], "W": views["W"], "x": 0.0})
+        np.testing.assert_array_equal(packed, vector)
+        assert not np.shares_memory(packed, vector)
