@@ -3,6 +3,15 @@
 Everything here is a pure function over immutable inputs: load once, clean,
 then slice normalized closes into (condition window, next value) pairs. A
 series is columnar: one array per CSV column, rows ascending in time.
+
+`load_csv` parses LOAD_BLOCK records at a time, a column at a time. The
+timestamp format is detected as `_parse_timestamp` detects it, from the
+first stamp that parses. After that, two kinds of stamp take a strict
+vectorized parse: exactly `YYYY-MM-DDTHH:MM:SSZ` (ASCII digits, a real
+date, hh <= 23, mm and ss <= 59) in an RFC 3339 file, and a whole number
+of seconds within years 1-9999 in an epoch file. Every other stamp goes
+through `_parse_timestamp` on its own. Either way a cell reads the same:
+the rows, rejects and columns are those a row-by-row loop gives.
 """
 
 from __future__ import annotations
@@ -14,7 +23,7 @@ from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
-from itertools import chain, islice
+from itertools import chain, compress, islice, repeat
 
 import numpy as np
 
@@ -97,7 +106,8 @@ def _parse_timestamp(raw: str, fmt: str | None) -> tuple[int, str]:
         try:
             dt = datetime.fromtimestamp(float(raw), tz=timezone.utc)
             return (dt - _EPOCH) // _MICROSECOND, "epoch"
-        except (ValueError, OverflowError):  # not a number, or out of range
+        # not a number, or out of range (OSError where gmtime refuses it)
+        except (ValueError, OverflowError, OSError):
             if fmt == "epoch":
                 raise ValueError(f"timestamp {raw!r} is not epoch-seconds")
     try:
@@ -135,19 +145,14 @@ def read_columns(reader, header: list[str], names):
     The cells are those `csv.DictReader(fh, restval="")` gives: a repeated
     header name reads its last column, blank lines are skipped (and not
     counted by a caller that numbers the records), a short row reads its
-    missing cells as "", and extra cells are ignored.
+    missing cells as "", and extra cells are ignored. The chain runs in C:
+    each record is padded by one list concatenation, then picked.
     """
     last = {name: i for i, name in enumerate(header)}
     index = [last[name] for name in names]
-    pick = operator.itemgetter(*index)
-    width = max(index) + 1
-    padding = [""] * width
-    for cells in reader:
-        if len(cells) < width:
-            if not cells:
-                continue
-            cells += padding[len(cells):]
-        yield pick(cells)
+    padding = [""] * (max(index) + 1)
+    return map(operator.itemgetter(*index),
+               map(operator.add, filter(None, reader), repeat(padding)))
 
 
 def read_floats(path, names) -> tuple[np.ndarray, ...]:
@@ -212,61 +217,176 @@ def _price_error(cells: tuple[str, str, str, str]) -> str:
     raise AssertionError("_price_error called on a row with valid prices")
 
 
+# records load_csv parses at a time: a block is split into columns, and
+# each column is parsed by one C-level call. Larger blocks parse no faster
+# and raise the peak memory, since a block's cells are held at once
+LOAD_BLOCK = 512
+
+
+def _floats(cells) -> np.ndarray:
+    """float(cell) for each of `cells`, NaN where float refuses the cell."""
+    out = array("d")
+    it = iter(cells)
+    while True:
+        try:
+            out.extend(map(float, it))
+            return np.frombuffer(out)
+        except ValueError:  # out holds every cell before the refused one
+            out.append(math.nan)
+
+
+# per byte of YYYY-MM-DDTHH:MM:SSZ, the lowest it may be and how far above
+# that; month, day and hour are checked in full after
+_RFC3339_LOW = np.frombuffer(b"0000-00-00T00:00:00Z", dtype=np.uint8)[:, None]
+_RFC3339_SPAN = np.frombuffer(b"9999-19-39T29:59:59Z", dtype=np.uint8)[:, None] \
+    - _RFC3339_LOW
+# the bytes of the tens and of the ones of each two-digit field: the
+# century, the year in it, month, day, hour, minute, second
+_RFC3339_TENS = [0, 2, 5, 8, 11, 14, 17]
+_RFC3339_ONES = [1, 3, 6, 9, 12, 15, 18]
+
+
+def _strict_rfc3339(cells) -> tuple[np.ndarray, np.ndarray]:
+    """(microseconds since the epoch, mask of the cells parsed) for the
+    `cells` that are exactly YYYY-MM-DDTHH:MM:SSZ in ASCII digits and name
+    a real UTC second of years 1-9999; each such cell reads as
+    `_parse_timestamp(cell, "rfc3339")` does. Other cells are left out of
+    the mask, with an arbitrary value."""
+    fit = np.fromiter(map(len, cells), dtype=np.intp, count=len(cells)) == 20
+    # "replace" keeps one byte a character: a non-ASCII cell fails the
+    # bounds. One row per byte position, so each step runs along the cells
+    raw = np.frombuffer("".join(compress(cells, fit)).encode("ascii", "replace"),
+                        dtype=np.uint8).reshape(-1, 20).T.copy()
+    ok = ~np.any(raw - _RFC3339_LOW > _RFC3339_SPAN, axis=0)  # uint8 wraps
+    raw -= np.uint8(48)
+    century, year, month, day, hour, minute, second = \
+        (10 * raw[_RFC3339_TENS] + raw[_RFC3339_ONES]).astype(np.int64)
+    year += 100 * century
+    # the first day of this month and of the next, in days since 1970-01-01
+    months = (year - 1970) * 12 + month - 1
+    starts = (months + np.array([[0], [1]])).astype("datetime64[M]") \
+        .astype("datetime64[D]").astype(np.int64)
+    ok &= ((year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)
+           & (day <= starts[1] - starts[0]) & (hour <= 23))
+    seconds = (((starts[0] + day - 1) * 24 + hour) * 60 + minute) * 60 + second
+    micros = np.zeros(len(cells), dtype=np.int64)
+    micros[fit] = seconds * 1_000_000
+    mask = np.zeros(len(cells), dtype=bool)
+    mask[fit] = ok
+    return micros, mask
+
+
+# whole seconds that datetime.fromtimestamp turns into years 1-9999
+_EPOCH_SPAN = [(bound.replace(tzinfo=timezone.utc) - _EPOCH) // timedelta(seconds=1)
+               for bound in (datetime.min, datetime.max)]
+
+
+def _strict_epoch(cells) -> tuple[np.ndarray, np.ndarray]:
+    """(microseconds since the epoch, mask of the cells parsed) for the
+    `cells` whose float is a whole number of seconds within years 1-9999;
+    each such cell reads as `_parse_timestamp(cell, "epoch")` does. Other
+    cells are left out of the mask, with an arbitrary value."""
+    x = _floats(cells)
+    ok = (x >= _EPOCH_SPAN[0]) & (x <= _EPOCH_SPAN[1]) & (np.trunc(x) == x)
+    return np.where(ok, x, 0.0).astype(np.int64) * 1_000_000, ok
+
+
+_STRICT_PARSE = {"rfc3339": _strict_rfc3339, "epoch": _strict_epoch}
+
+
+def _parse_stamps(cells, fmt: str | None):
+    """Parse one block of timestamp cells as the per-cell loop would:
+    `_parse_timestamp(cell, None)` on each cell until one parses and fixes
+    the format, then the strict vectorized parse of that format, and
+    `_parse_timestamp(cell, fmt)` for each cell it leaves.
+
+    Returns (microseconds, mask of the parsed cells, {index: reason} for
+    the refused ones, the format or None if no cell has parsed yet).
+    """
+    n = len(cells)
+    micros = np.zeros(n, dtype=np.int64)
+    parsed = np.zeros(n, dtype=bool)
+    reasons: dict[int, str] = {}
+    first = 0
+    while fmt is None and first < n:
+        try:
+            micros[first], fmt = _parse_timestamp(cells[first], None)
+            parsed[first] = True
+        except (ValueError, OverflowError) as exc:
+            reasons[first] = str(exc)
+        first += 1
+    if first < n:
+        micros[first:], parsed[first:] = _STRICT_PARSE[fmt](cells[first:])
+        for i in (np.flatnonzero(~parsed[first:]) + first).tolist():
+            try:
+                micros[i] = _parse_timestamp(cells[i], fmt)[0]
+                parsed[i] = True
+            except (ValueError, OverflowError) as exc:
+                reasons[i] = str(exc)
+    return micros, parsed, reasons, fmt
+
+
 def load_csv(path, asset_id: str = "") -> LoadResult:
     """Load a `timestamp,open,high,low,close` CSV into an ascending-time
     TimeSeries.
 
     Only timestamp and close are required; without all of open/high/low
     they are set to the close. Rows that fail to parse are collected into
-    the rejects report, never dropped silently. The file is read through
-    `open_csv`.
+    the rejects report, never dropped silently: a row's timestamp reason
+    comes before its price reason. The file is read through `open_csv`,
+    LOAD_BLOCK records at a time.
     """
-    isfinite = math.isfinite
-    stamps = array("q")  # typed buffers: no object kept per parsed cell
-    opens, highs, lows, closes = array("d"), array("d"), array("d"), array("d")
     rejects: list[Reject] = []
     ts_format: str | None = None
-    row_no = 1  # row 1 is the header
+    n_rows = kept = 0
     with open_csv(path) as reader:
         header = next(reader, [])
         for col in ("timestamp", "close"):
             if col not in header:
                 raise DataError(f"missing required column {col!r} in {path}")
-        have_ohlc = {"open", "high", "low"} <= set(header)
-        # without all of open/high/low, each of them reads the close cell
-        prices = _PRICE_COLUMNS if have_ohlc else ("close",) * 4
-        records = read_columns(reader, header, ("timestamp", *prices))
-        for row_no, (stamp, c, o, h, lo) in enumerate(records, start=2):
-            try:
-                ts, detected = _parse_timestamp(stamp, ts_format)
-            except (ValueError, OverflowError) as exc:
-                rejects.append(Reject(row_no, str(exc)))
-                continue
-            ts_format = ts_format or detected
-            try:
-                close = float(c)
-                if have_ohlc:
-                    open_, high, low = float(o), float(h), float(lo)
-                else:
-                    open_ = high = low = close
-            except ValueError:
-                rejects.append(Reject(row_no, _price_error((c, o, h, lo))))
-                continue
-            if not (isfinite(close) and isfinite(open_) and isfinite(high)
-                    and isfinite(low)):
-                rejects.append(Reject(row_no, _price_error((c, o, h, lo))))
-                continue
-            stamps.append(ts)
-            opens.append(open_)
-            highs.append(high)
-            lows.append(low)
-            closes.append(close)
+        # without all of open/high/low, each of them is the close
+        names = _PRICE_COLUMNS if {"open", "high", "low"} <= set(header) \
+            else ("close",)
+        stamps = np.empty(0, dtype=np.int64)
+        prices = [np.empty(0) for _ in names]
+        records = read_columns(reader, header, ("timestamp", *names))
+        while block := list(islice(records, LOAD_BLOCK)):
+            cells, *columns = zip(*block)
+            micros, keep, reasons, ts_format = _parse_stamps(cells, ts_format)
+            values = _floats(chain.from_iterable(columns))
+            values = values.reshape(len(names), len(cells))
+            keep &= np.all(np.isfinite(values), axis=0)
+            for i in np.flatnonzero(~keep).tolist():
+                reason = reasons.get(i) or _price_error(block[i][1:])
+                rejects.append(Reject(n_rows + i + 2, reason))  # 1 is the header
+            stamps = _put(stamps, kept, micros[keep])
+            for j, column in enumerate(values):
+                prices[j] = _put(prices[j], kept, column[keep])
+            n_rows += len(cells)
+            kept += int(np.count_nonzero(keep))
 
-    series = TimeSeries(asset_id, np.frombuffer(stamps, dtype=np.int64),
-                        np.frombuffer(opens), np.frombuffer(highs),
-                        np.frombuffer(lows), np.frombuffer(closes))
+    prices = [buffer[:kept] for buffer in prices]
+    close, open_, high, low = prices if len(prices) == 4 else prices * 4
+    series = TimeSeries(asset_id, stamps[:kept], open_, high, low, close)
     series = series.take(np.argsort(series.timestamp, kind="stable"))
-    return LoadResult(series=series, n_rows=row_no - 1, rejects=rejects)
+    return LoadResult(series=series, n_rows=n_rows, rejects=rejects)
+
+
+def _put(buffer: np.ndarray, start: int, values: np.ndarray) -> np.ndarray:
+    """`buffer` with `values` written from `start` on. When they do not
+    fit, they go into a buffer at least twice as long that first gets the
+    `start` items before them, so growing costs under one copy per item.
+
+    (An array.array grows by small steps, and those steps, between each
+    block's NumPy temporaries, left holes in the heap: `analyze` on 200k
+    rows peaked 1-2 MB higher.)"""
+    end = start + len(values)
+    if end > len(buffer):
+        grown = np.empty(max(end, 2 * len(buffer)), dtype=buffer.dtype)
+        grown[:start] = buffer[:start]
+        buffer = grown
+    buffer[start:end] = values
+    return buffer
 
 
 def clean(series: TimeSeries) -> tuple[TimeSeries, int]:

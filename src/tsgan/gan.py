@@ -7,8 +7,10 @@ MLP scoring (condition window, value) as a raw logit.
 
 Training alternates one discriminator step and one generator step per
 mini-batch, both fed by one generator pass; the discriminator sees its k
-real and k fake rows in one 2k-row pass. All randomness flows through a
-single seeded Generator so runs are bit-reproducible.
+real and k fake rows in one 2k-row pass. The two steps run with the BLAS
+pinned to one thread; the generator pass keeps the BLAS's threads. All
+randomness flows through a single seeded Generator so runs are
+bit-reproducible.
 
 Synthesis keeps no trajectory: both modes run nn.lstm_step on one step's
 buffers. Conditioned synthesis runs its chunks of windows, each on buffers
@@ -196,9 +198,12 @@ class Generator(_Net):
         lstm_cache, head_cache = cache
         dfinal, dhead, dbias = dense_backward(self.head, head_cache,
                                               dxhat[:, None])
-        dW, _ = lstm_backward(self.lstm, lstm_cache, dfinal)
-        return self.layout.pack({"gen.lstm.W": dW, "gen.head.weights": dhead,
-                                 "gen.head.bias": dbias})
+        grad = np.empty_like(self.theta)
+        blocks = self.layout.views(grad)
+        blocks["gen.head.weights"][...] = dhead
+        blocks["gen.head.bias"][...] = dbias
+        lstm_backward(self.lstm, lstm_cache, dfinal, dW=blocks["gen.lstm.W"])
+        return grad
 
 
 class Discriminator(_Net):
@@ -345,11 +350,14 @@ def train(config: TrainConfig, pairs: PairSet, scaler: scaling.ScalerParams,
                 # step's update leaves the G step's pass valid.
                 z2 = rng.standard_normal((2 * k, gen.noise_dim))
                 fake_d, fake_g, gen_cache = gen.forward_pair(cond, z2)
-                d_losses[b] = train_discriminator_step(
-                    disc, cond, target, fake_d, adam_d, config.clip_norm)
-                g_losses[b] = train_generator_step(
-                    gen, disc, cond, fake_g, gen_cache, adam_g,
-                    config.clip_norm)
+                # the steps' GEMMs are too small to gain from a second
+                # BLAS thread, and waking an idle one costs each call ms
+                with _one_blas_thread():
+                    d_losses[b] = train_discriminator_step(
+                        disc, cond, target, fake_d, adam_d, config.clip_norm)
+                    g_losses[b] = train_generator_step(
+                        gen, disc, cond, fake_g, gen_cache, adam_g,
+                        config.clip_norm)
             except NumericError as exc:
                 raise NumericError(f"{exc} (epoch {epoch}, batch {b})") from None
         history.d_batch.extend(d_losses.tolist())

@@ -300,13 +300,16 @@ def lstm_cache_rows(cache: dict, start: int) -> dict:
             "start": cache["start"] + start}
 
 
-def lstm_backward(cell: LstmCell, cache: dict, dz_final, dc_final=None):
+def lstm_backward(cell: LstmCell, cache: dict, dz_final, dc_final=None,
+                  dW=None):
     """Backpropagation through time from a gradient on the final state.
 
     dz_final and dc_final are (k, h) over the cache's rows. Returns
     (dW of W's shape, per-step input gradients dX (T, k, in)), both
-    float64; the steps compute in the workspace's dtype. Raises
-    StaleCacheError if the workspace has run a forward since `cache`.
+    float64; the steps compute in the workspace's dtype. dW is zeroed and
+    summed into the float64 array `dW` when one is given (a view into a
+    net's gradient vector), else into a fresh one. Raises StaleCacheError
+    if the workspace has run a forward since `cache`.
     """
     ws = cache["workspace"]
     if cache["generation"] != ws.generation:
@@ -325,7 +328,10 @@ def lstm_backward(cell: LstmCell, cache: dict, dz_final, dc_final=None):
     if dz.shape != (h, k) or dc0.shape != (h, k):
         raise NumericError(f"final-state gradients must be ({k}, {h})")
     dc[...] = dc0
-    dW = np.zeros_like(cell.W)
+    if dW is None:
+        dW = np.zeros_like(cell.W)
+    else:
+        dW[...] = 0.0
     WT = cell.W.astype(ws.dtype, copy=False).T
     a4 = a.reshape(4, h, k)
     gates_all = P.reshape(T, 4, h, k_all)[..., lo:]

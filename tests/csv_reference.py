@@ -137,12 +137,27 @@ EPOCH_STAMPS = ["1647871200", "1647871260.5", "-86400.75", "0", "1e20"]
 RFC3339_STAMPS = ["2022-03-21T14:00:00Z", "2022-03-21T15:01:00+01:00",
                   "2022-03-21T14:02:00", "2022-03-21 14:03:00.25+00:00",
                   "0001-01-01T00:30:00+01:00"]
+# stamps next to the edges of load_csv's vectorized parses: some take it,
+# the others must read as _parse_timestamp reads them one by one
+NEAR_EPOCH_STAMPS = [
+    "1647871200.0", "1_647_871_200", " 1647871200 ", "1e9", "-0", "nan",
+    "inf", "-62135596800", "-62135596801", "253402300799", "253402300800",
+    "\u0661\u0666\u0664\u0667\u0668\u0667\u0661\u0662\u0660\u0660"]
+NEAR_RFC3339_STAMPS = [
+    "2023-02-29T00:00:00Z", "2024-02-29T12:00:00Z", "1900-02-29T00:00:00Z",
+    "2000-02-29T00:00:00Z", "2022-04-31T00:00:00Z", "2022-13-01T00:00:00Z",
+    "2022-00-10T00:00:00Z", "2022-03-00T00:00:00Z", "2022-03-21T24:00:00Z",
+    "2022-03-21T14:00:60Z", "2022-03-21t14:00:00Z", "2022-03-21T14:00:00z",
+    "2022-03-21T14:00:00Z\x00", "2022-03-21T14:00:00Z ", "0000-01-01T00:00:00Z",
+    "0001-01-01T00:00:00Z", "9999-12-31T23:59:59Z", "1970-01-01T00:00:00Z",
+    "2022-03-21T14:00:0\u0663Z", "2022-03-21T14:00:00\u00e9"]
 PRICES = ["1.5", "2", "100.25", "0.5", "3e2", "-1", "0", " 2.5 ", "1_0"]
 BAD_PRICES = ["", "nan", "NaN", "inf", "-inf", "Infinity", "abc", "1,5",
               "2\n3", '"q"']
 # any cell at all, including ones csv must quote
 CELLS = st.one_of(
-    st.sampled_from(EPOCH_STAMPS + RFC3339_STAMPS + PRICES + BAD_PRICES
+    st.sampled_from(EPOCH_STAMPS + RFC3339_STAMPS + NEAR_EPOCH_STAMPS
+                    + NEAR_RFC3339_STAMPS + PRICES + BAD_PRICES
                     + ["not-a-time", "4\r\n5"]),
     st.text(alphabet=st.characters(blacklist_categories=("Cs",)),
             max_size=6),
@@ -165,8 +180,10 @@ def csv_text(draw, names, required):
         header = draw(st.permutations(header))
     else:
         header = draw(st.lists(st.sampled_from(names), max_size=5))
+    epoch = EPOCH_STAMPS + NEAR_EPOCH_STAMPS
+    rfc3339 = RFC3339_STAMPS + NEAR_RFC3339_STAMPS
     stamps = st.sampled_from(draw(st.sampled_from(
-        [EPOCH_STAMPS, RFC3339_STAMPS, EPOCH_STAMPS + RFC3339_STAMPS])))
+        [epoch, rfc3339, epoch + rfc3339])))
     odds = draw(st.sampled_from([2, 10]))
     prices = st.integers(1, odds).flatmap(
         lambda i: st.sampled_from(PRICES if i > 1 else BAD_PRICES))

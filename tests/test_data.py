@@ -1,13 +1,16 @@
 import tempfile
 from datetime import datetime
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from csv_reference import BOM, csv_text, dict_load_csv, outcome, same_bits
+from csv_reference import (BOM, EPOCH_STAMPS, NEAR_EPOCH_STAMPS,
+                           NEAR_RFC3339_STAMPS, RFC3339_STAMPS, csv_text,
+                           dict_load_csv, outcome, same_bits)
 from tsgan import data
 from tsgan.errors import DataError
 
@@ -93,12 +96,13 @@ class TestLoadCsv:
     @pytest.mark.parametrize("first", [False, True])
     def test_out_of_range_epoch_rejected(self, tmp_path, first):
         good = [row(1647871200, 1, 2, 1, 1.5), row(1647871260, 1, 2, 1, 1.6)]
-        bad = [row(raw, 1, 2, 1, 1.5) for raw in ("inf", "1e20", "-1e20", "1e15")]
+        bad = [row(raw, 1, 2, 1, 1.5)
+               for raw in ("inf", "1e20", "-1e20", "1e15", "1e17")]
         p = write_csv(tmp_path / "a.csv", bad + good if first else good + bad)
         result = data.load_csv(p)
         assert result.series.close.tolist() == [1.5, 1.6]
         assert [r.row for r in result.rejects] == \
-            ([2, 3, 4, 5] if first else [4, 5, 6, 7])
+            ([2, 3, 4, 5, 6] if first else [4, 5, 6, 7, 8])
         assert all("timestamp" in r.reason for r in result.rejects)
 
     def test_offset_beyond_datetime_range_rejected(self, tmp_path):
@@ -199,11 +203,7 @@ class TestLoadCsv:
 PRICE_NAMES = ["timestamp", "open", "high", "low", "close", "volume"]
 
 
-@given(csv_text(PRICE_NAMES, ("timestamp", "close")), st.booleans())
-@settings(max_examples=300, deadline=None)
-def test_load_csv_matches_dict_reader(text, bom):
-    """The streaming reader gives what one DictReader dict per row gave:
-    the same n_rows, rejects and bit-equal columns, or the same error."""
+def assert_loads_like_dict_reader(text, bom):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "prices.csv"
         path.write_bytes(BOM * bom + text.encode("utf-8"))
@@ -218,6 +218,113 @@ def test_load_csv_matches_dict_reader(text, bom):
         [(r.row, r.reason) for r in want.rejects]
     for a, b in zip(columns(got.series), columns(want.series)):
         assert same_bits(a, b)
+
+
+@given(csv_text(PRICE_NAMES, ("timestamp", "close")), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_load_csv_matches_dict_reader(text, bom):
+    """The block reader gives what one DictReader dict per row gave: the
+    same n_rows, rejects and bit-equal columns, or the same error."""
+    assert_loads_like_dict_reader(text, bom)
+
+
+@pytest.mark.parametrize("block", [1, 2, 5])
+@given(text=csv_text(PRICE_NAMES, ("timestamp", "close")), bom=st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_load_csv_matches_dict_reader_in_small_blocks(block, text, bom):
+    """Blocks of a few records put the first parseable stamp, rejects and
+    the last record on block edges."""
+    with mock.patch.object(data, "LOAD_BLOCK", block):
+        assert_loads_like_dict_reader(text, bom)
+
+
+class TestLoadBlocks:
+    STAMPS = ["2022-03-21T14:00:00Z", "2022-03-21T14:01:00Z",
+              "2022-03-21T14:02:00Z", "2022-03-21T14:03:00Z"]
+
+    def load(self, tmp_path, rows, block):
+        path = write_csv(tmp_path / "a.csv", rows)
+        with mock.patch.object(data, "LOAD_BLOCK", block):
+            assert_loads_like_dict_reader(path.read_text(), False)
+            return data.load_csv(path)
+
+    def test_format_detected_in_a_later_block(self, tmp_path):
+        rows = [row("x", 1, 2, 1, 1.5)] * 5 + [row(t, 1, 2, 1, 1.5)
+                                               for t in self.STAMPS]
+        result = self.load(tmp_path, rows, 2)
+        assert [r.row for r in result.rejects] == [2, 3, 4, 5, 6]
+        assert len(result.series) == 4
+
+    @pytest.mark.parametrize("bad", [1, 2])
+    def test_rejects_on_block_edges(self, tmp_path, bad):
+        # with blocks of 2 the records at indexes 1 and 2 end one block
+        # and start the next
+        rows = [row(t, 1, 2, 1, 1.5) for t in self.STAMPS]
+        rows[bad] = row(self.STAMPS[bad], 1, 2, 1, "x")
+        rows[bad + 1] = row("y", 1, 2, 1, 1.5)
+        result = self.load(tmp_path, rows, 2)
+        assert [(r.row, r.reason) for r in result.rejects] == [
+            (bad + 2, "close 'x' is not a number"),
+            (bad + 3, "timestamp 'y' is not RFC 3339 or epoch-seconds")]
+
+    @pytest.mark.parametrize("block", [1, 2, 4])
+    def test_last_block_exactly_full(self, tmp_path, block):
+        rows = [row(t, 1, 2, 1, 1.5 + i) for i, t in enumerate(self.STAMPS)]
+        result = self.load(tmp_path, rows, block)
+        assert result.n_rows == 4 and not result.rejects
+        assert result.series.close.tolist() == [1.5, 2.5, 3.5, 4.5]
+
+
+# stamps of the exact shapes the vectorized parses take, with fields in
+# and out of range, next to any text
+STAMP_CELLS = st.one_of(
+    st.sampled_from(EPOCH_STAMPS + RFC3339_STAMPS + NEAR_EPOCH_STAMPS
+                    + NEAR_RFC3339_STAMPS),
+    st.builds("{:04d}-{:02d}-{:02d}T{:02d}:{:02d}:{:02d}Z".format,
+              st.integers(0, 9999), st.integers(0, 19), st.integers(0, 39),
+              st.integers(0, 29), st.integers(0, 59), st.integers(0, 69)),
+    st.integers(-63_000_000_000, 254_000_000_000).map(str),
+    st.floats().map(repr),
+    st.text(max_size=22),
+)
+
+
+@given(st.lists(STAMP_CELLS, max_size=20))
+@settings(max_examples=300, deadline=None)
+def test_vectorized_stamps_agree_with_parse_timestamp(cells):
+    """Each cell the strict parses take reads as _parse_timestamp reads it,
+    and a block parse gives each cell what the per-cell loop gave."""
+    cells = tuple(cells)
+    for fmt, strict in [("rfc3339", data._strict_rfc3339),
+                        ("epoch", data._strict_epoch)]:
+        micros, took = strict(cells)
+        for cell, value in zip(np.compress(took, cells), micros[took]):
+            assert value == data._parse_timestamp(cell, fmt)[0]
+    for fmt in (None, "epoch", "rfc3339"):
+        micros, parsed, reasons, detected = data._parse_stamps(cells, fmt)
+        for i, cell in enumerate(cells):
+            try:
+                value, found = data._parse_timestamp(cell, fmt)
+            except (ValueError, OverflowError) as exc:
+                assert not parsed[i] and reasons[i] == str(exc)
+                continue
+            fmt = fmt or found
+            assert parsed[i] and micros[i] == value and i not in reasons
+        assert detected == fmt
+
+
+@given(st.datetimes(min_value=datetime(1, 1, 1),
+                    max_value=datetime(9999, 12, 31, 23, 59, 59)))
+@settings(max_examples=300, deadline=None)
+def test_strict_parses_take_every_whole_utc_second(dt):
+    dt = dt.replace(microsecond=0)
+    micros = (dt - datetime(1970, 1, 1)) // data._MICROSECOND
+    stamp = (f"{dt.year:04d}-{dt.month:02d}-{dt.day:02d}T{dt.hour:02d}:"
+             f"{dt.minute:02d}:{dt.second:02d}Z")
+    for strict, cell in [(data._strict_rfc3339, stamp),
+                         (data._strict_epoch, str(micros // 1_000_000))]:
+        values, took = strict((cell,))
+        assert took.tolist() == [True] and values.tolist() == [micros]
 
 
 def mkseries(bars):

@@ -9,6 +9,7 @@ from tsgan import nn, optim
 from tsgan.errors import NumericError
 from tsgan.gradcheck import rel_error
 
+from csv_reference import same_bits
 from lstm_oracle import gate_weights, lstm_fold, lstm_step
 
 
@@ -371,6 +372,22 @@ class TestLstmBackward:
         _, cache64 = nn.lstm_forward(cell, xs, nn.LstmState.zeros(16, 8))
         dW64, dX64 = nn.lstm_backward(cell, cache64, dz)
         assert rel_error(dW, dW64) < 1e-3 and rel_error(dX, dX64) < 1e-3
+
+    def test_given_dW_is_zeroed_and_summed_into(self):
+        # a view of a gradient vector, holding stale values, gets the
+        # bits a fresh dW gets
+        rng = np.random.default_rng(23)
+        cell = make_cell(9, 16, rng)
+        xs = rng.standard_normal((12, 8, 9))
+        dz = rng.standard_normal((8, 16))
+        ws = nn.LstmWorkspace(np.float32)
+        _, cache = nn.lstm_forward(cell, xs, nn.LstmState.zeros(16, 8), ws)
+        dW, dX = nn.lstm_backward(cell, cache, dz)
+        vector = np.full(cell.W.size + 3, 7.0)
+        out = vector[3:].reshape(cell.W.shape)
+        dW_out, dX_out = nn.lstm_backward(cell, cache, dz, dW=out)
+        assert dW_out is out and vector[:3].tolist() == [7.0] * 3
+        assert same_bits(out, dW) and same_bits(dX_out, dX)
 
     def test_stale_cache_raises(self):
         rng = np.random.default_rng(14)
