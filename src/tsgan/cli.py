@@ -166,7 +166,8 @@ def _train_config(args) -> TrainConfig:
     for key, value in flag_map.items():
         if value is not None:
             settings[key] = value
-    settings.setdefault("seed", _seed())
+    if "seed" not in settings:  # TSGAN_SEED only when nothing set one
+        settings["seed"] = _seed()
     try:
         return TrainConfig(**settings)
     except (TypeError, ValueError) as exc:

@@ -396,10 +396,11 @@ def clean(series: TimeSeries) -> tuple[TimeSeries, int]:
 
     Returns the cleaned series and the number of bars dropped.
     """
-    prices = np.stack([series.open, series.high, series.low, series.close])
-    valid = (np.all(np.isfinite(prices) & (prices > 0), axis=0)
-             & (series.low <= series.open) & (series.open <= series.high)
-             & (series.low <= series.close) & (series.close <= series.high))
+    o, hi, lo, c = series.open, series.high, series.low, series.close
+    # low > 0 and high < inf bound open and close on both sides, so all
+    # four are finite and positive; a NaN fails every comparison
+    valid = ((lo > 0) & (hi < np.inf) & (lo <= o) & (o <= hi)
+             & (lo <= c) & (c <= hi))
     rows = np.flatnonzero(valid)
     if rows.size == 0:
         raise DataError(f"no usable data in series {series.asset_id!r} after cleaning")

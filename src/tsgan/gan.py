@@ -6,11 +6,14 @@ input; a scalar head reads the final short-term state. Discriminator: an
 MLP scoring (condition window, value) as a raw logit.
 
 Training alternates one discriminator step and one generator step per
-mini-batch, both fed by one generator pass; the discriminator sees its k
-real and k fake rows in one 2k-row pass. The two steps run with the BLAS
-pinned to one thread; the generator pass keeps the BLAS's threads. All
-randomness flows through a single seeded Generator so runs are
-bit-reproducible.
+mini-batch, each on a fake batch from noise rows of its own. The D step's
+fake batch is a constant to it, so it comes from the pass conditioned
+synthesis runs, which keeps no trajectory; only the G step's batch runs
+`Generator.forward`, whose trajectory its backward reads. The
+discriminator sees its k real and k fake rows in one 2k-row pass. The D
+pass and both steps run with the BLAS pinned to one thread; the G pass
+keeps the BLAS's threads. All randomness flows through a single seeded
+Generator so runs are bit-reproducible.
 
 Synthesis keeps no trajectory: both modes run nn.lstm_step on one step's
 buffers. Conditioned synthesis runs its chunks of windows, each on buffers
@@ -36,7 +39,7 @@ from .errors import DataError, NumericError
 from .nn import (INIT_SCHEMES, DenseLayer, Layout, LstmCell, LstmState,
                  LstmWorkspace, check_lstm_state, clip_global_norm,
                  dense_backward, dense_forward, init_params, lstm_backward,
-                 lstm_cache_rows, lstm_forward, lstm_step, step_weights)
+                 lstm_forward, lstm_step, step_weights)
 from .optim import AdamState, adam_step, bce_with_logits, bce_with_logits_grad
 
 LN2 = float(np.log(2.0))
@@ -178,20 +181,6 @@ class Generator(_Net):
         if not np.all(np.isfinite(xhat)):
             raise NumericError("generator produced non-finite output")
         return xhat, (lstm_cache, head_cache)
-
-    def forward_pair(self, conditions: np.ndarray, z2: np.ndarray):
-        """One double-width pass for a D step and a G step on one batch.
-
-        Runs the k `conditions` twice, with the 2k noise rows `z2`.
-        Returns (the D step's fake batch from rows :k, the G step's fake
-        batch from rows k:, a cache whose backward covers rows k: only).
-        """
-        k = conditions.shape[0]
-        fake, (lstm_cache, head_cache) = self.forward(
-            np.concatenate([conditions, conditions]), z2)
-        x, pre = head_cache
-        cache = (lstm_cache_rows(lstm_cache, k), (x[k:], pre[k:]))
-        return fake[:k], fake[k:], cache
 
     def backward(self, cache, dxhat: np.ndarray) -> np.ndarray:
         """The parameter gradient, a vector in the layout of `theta`."""
@@ -344,15 +333,17 @@ def train(config: TrainConfig, pairs: PairSet, scaler: scaling.ScalerParams,
             cond = pairs.conditions[idx]
             target = pairs.targets[idx]
             try:
-                # one double-width generator pass serves both steps: rows
-                # :k are the D step's fake batch (no gradient), rows k:
-                # the G step's. G's output doesn't depend on D, so the D
-                # step's update leaves the G step's pass valid.
+                # noise rows :k make the D step's fake batch, rows k: the
+                # G step's. The D pass keeps no trajectory and runs on
+                # buffers of its own, so the G pass's stays valid for the
+                # G step's backward.
                 z2 = rng.standard_normal((2 * k, gen.noise_dim))
-                fake_d, fake_g, gen_cache = gen.forward_pair(cond, z2)
-                # the steps' GEMMs are too small to gain from a second
-                # BLAS thread, and waking an idle one costs each call ms
+                fake_g, gen_cache = gen.forward(cond, z2[k:])
+                # the D pass's and the steps' GEMMs are too small to gain
+                # from a second BLAS thread, and waking an idle one costs
+                # each call ms
                 with _one_blas_thread():
+                    fake_d = _conditioned_chunk(gen, cond, z2[:k])
                     d_losses[b] = train_discriminator_step(
                         disc, cond, target, fake_d, adam_d, config.clip_norm)
                     g_losses[b] = train_generator_step(

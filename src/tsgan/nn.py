@@ -15,10 +15,12 @@ i, o rows are halved, and maps those rows to the sigmoid by
 sigmoid(x) = (1 + tanh(x / 2)) / 2. lstm_forward is the training pass:
 it loops lstm_step over a whole trajectory, kept for lstm_backward in an
 LstmWorkspace that is reused across calls of one shape; a forward cache
-is valid until the next forward on the same workspace. Synthesis keeps
-no trajectory and calls lstm_step on buffers of one step. The
-workspace's dtype is the dtype the cell computes in (the generator uses
-float32); weights, final states and gradients stay float64.
+is valid until the next forward on the same workspace. lstm_backward
+reads each step's gate, cell and tanh(c) blocks of that trajectory in
+place, as contiguous (rows, k) blocks. Synthesis keeps no trajectory and
+calls lstm_step on buffers of one step. The workspace's dtype is the
+dtype the cell computes in (the generator uses float32); weights, final
+states and gradients stay float64.
 
 A `Layout` names the blocks of one flat float64 vector: a net's
 parameters, whose layers hold views of them, its gradient, or a moment.
@@ -201,13 +203,11 @@ class LstmWorkspace:
             self._backward_shape = shape
             dt = self.dtype
             self.dS = np.empty((steps, hidden + n_in, k), dt)
-            self._step = np.empty((6, hidden, k), dt)
             self._a = np.empty((4 * hidden, k), dt)
             self._dct = np.empty((hidden, k), dt)
             self._dc = np.empty((hidden, k), dt)
             self._dW_t = np.empty((4 * hidden, hidden + n_in), dt)
-        return (self.dS, self._step, self._a, self._dct, self._dc,
-                self._dW_t)
+        return self.dS, self._a, self._dct, self._dc, self._dW_t
 
 
 def check_lstm_state(c, z) -> None:
@@ -283,29 +283,20 @@ def lstm_forward(cell: LstmCell, xs, init: LstmState,
     W = step_weights(cell.W, ws.dtype)
     for t in range(T):
         lstm_step(W, S[t], P[t], C[t], C[t + 1], TC[t], S[t + 1, :h], ig)
-    # C order: a transposed view's cast keeps Fortran order, and the head's
-    # GEMM would then round a row range differently from the whole
+    # C order, as synthesis gives the head, so the head's GEMM rounds alike
     state = LstmState(c=C[T].T.astype(np.float64, order="C"),
                       z=S[T, :h].T.astype(np.float64, order="C"))
     check_lstm_state(state.c, state.z)
-    cache = {"xs": xs, "workspace": ws, "generation": ws.generation,
-             "start": 0}
+    cache = {"xs": xs, "workspace": ws, "generation": ws.generation}
     return state, cache
-
-
-def lstm_cache_rows(cache: dict, start: int) -> dict:
-    """The cache restricted to batch rows start: onward; lstm_backward on
-    it equals a backward on a forward pass over those rows alone."""
-    return {**cache, "xs": cache["xs"][:, start:],
-            "start": cache["start"] + start}
 
 
 def lstm_backward(cell: LstmCell, cache: dict, dz_final, dc_final=None,
                   dW=None):
     """Backpropagation through time from a gradient on the final state.
 
-    dz_final and dc_final are (k, h) over the cache's rows. Returns
-    (dW of W's shape, per-step input gradients dX (T, k, in)), both
+    dz_final and dc_final are (k, h), one row per column of the pass.
+    Returns (dW of W's shape, per-step input gradients dX (T, k, in)), both
     float64; the steps compute in the workspace's dtype. dW is zeroed and
     summed into the float64 array `dW` when one is given (a view into a
     net's gradient vector), else into a fresh one. Raises StaleCacheError
@@ -315,13 +306,11 @@ def lstm_backward(cell: LstmCell, cache: dict, dz_final, dc_final=None,
     if cache["generation"] != ws.generation:
         raise StaleCacheError("LSTM cache is stale: its workspace has run "
                               "a later forward pass")
-    lo = cache["start"]
     S, P, C, TC = ws.S, ws.P, ws.C, ws.TC
-    T, _, k_all = P.shape
+    T, _, k = P.shape
     h = cell.hidden_size
     n_in = S.shape[1] - h
-    k = k_all - lo
-    dS, step, a, dct, dc, dW_t = ws.backward_buffers(T, k, h, n_in)
+    dS, a, dct, dc, dW_t = ws.backward_buffers(T, k, h, n_in)
 
     dz = np.asarray(dz_final, dtype=ws.dtype).T
     dc0 = np.zeros_like(dz) if dc_final is None else np.asarray(dc_final).T
@@ -334,14 +323,11 @@ def lstm_backward(cell: LstmCell, cache: dict, dz_final, dc_final=None,
         dW[...] = 0.0
     WT = cell.W.astype(ws.dtype, copy=False).T
     a4 = a.reshape(4, h, k)
-    gates_all = P.reshape(T, 4, h, k_all)[..., lo:]
-    f, i, o, g, c_prev, tc = step
+    gates = P.reshape(T, 4, h, k)
     for t in range(T - 1, -1, -1):
-        # the step's operands as contiguous blocks: a row range of the
-        # trajectory is strided, and every ufunc below would pay for that
-        np.copyto(step[:4], gates_all[t])
-        np.copyto(c_prev, C[t, :, lo:])
-        np.copyto(tc, TC[t, :, lo:])
+        f, i, o, g = gates[t]
+        fio = gates[t, :3]
+        c_prev, tc = C[t], TC[t]
         # dL/dc_t: the carried dc plus the path through z_t = o * tanh(c_t)
         np.multiply(tc, tc, out=dct)
         np.subtract(1.0, dct, out=dct)
@@ -349,8 +335,8 @@ def lstm_backward(cell: LstmCell, cache: dict, dz_final, dc_final=None,
         dct *= dz
         dct += dc
         # gate pre-activation gradients, sigmoid' = s (1 - s) for f, i, o
-        np.subtract(1.0, step[:3], out=a4[:3])
-        a4[:3] *= step[:3]
+        np.subtract(1.0, fio, out=a4[:3])
+        a4[:3] *= fio
         a4[0] *= c_prev
         a4[1] *= g
         a4[:2] *= dct
@@ -360,7 +346,7 @@ def lstm_backward(cell: LstmCell, cache: dict, dz_final, dc_final=None,
         np.subtract(1.0, a4[3], out=a4[3])
         a4[3] *= i
         a4[3] *= dct
-        np.matmul(a, S[t, :, lo:].T, out=dW_t)
+        np.matmul(a, S[t].T, out=dW_t)
         dW += dW_t
         np.matmul(WT, a, out=dS[t])
         dz = dS[t, :h]

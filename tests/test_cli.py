@@ -93,6 +93,16 @@ class TestTrain:
         assert (out1 / "checkpoint.json").read_bytes() == \
             (out2 / "checkpoint.json").read_bytes()
 
+    def test_odd_batch_width_reruns_byte_identical(self, price_csv,
+                                                   tmp_path):
+        # 17 columns: a width at which the BLAS's float32 GEMM rounds a
+        # column by the width of the whole matrix
+        outs = [tmp_path / "r1", tmp_path / "r2"]
+        for out in outs:
+            assert main(train_args(price_csv, out, **{"batch-size": 17})) == 0
+        assert (outs[0] / "checkpoint.json").read_bytes() == \
+            (outs[1] / "checkpoint.json").read_bytes()
+
     def test_float32_reruns_byte_identical(self, price_csv, tmp_path,
                                            monkeypatch):
         import tsgan.cli
@@ -874,6 +884,22 @@ class TestSeedEnvFallback:
               "--hidden", "8"])
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["config"]["seed"] == 99
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_set_seed_ignores_bad_env(self, price_csv, tmp_path, monkeypatch,
+                                      source):
+        monkeypatch.setenv("TSGAN_SEED", "abc")
+        out = tmp_path / "run"
+        argv = train_args(price_csv, out)[:-2]  # without its --seed 7
+        if source == "flag":
+            argv += ["--seed", "3"]
+        else:
+            config = tmp_path / "config.json"
+            config.write_text('{"seed": 3}')
+            argv += ["--config", str(config)]
+        assert main(argv) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["seed"] == 3
 
     @pytest.mark.parametrize("command, flag, env", [
         pytest.param("generate", "-1", None, id="generate-flag"),

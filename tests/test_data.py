@@ -421,6 +421,24 @@ class TestClean:
             assert_same_series(cleaned, series.take(kept))
             assert dropped == n - len(kept)
 
+    def test_mask_matches_per_price_test_on_hostile_values(self):
+        """The rule as written out (each price finite and > 0, then the
+        four order tests) on NaN, +-inf, +-0, negatives and subnormals."""
+        pool = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, -1.0, -5e-324,
+                         5e-324, 1e-310, 1.0, 1.5, 2.0, 1e308])
+        n = 400_000
+        prices = np.random.default_rng(31).choice(pool, size=(4, n))
+        o, hi, lo, c = prices
+        finite_positive = np.isfinite(prices) & (prices > 0)
+        expected = (finite_positive.all(axis=0) & (lo <= o) & (o <= hi)
+                    & (lo <= c) & (c <= hi))
+        stamps = np.arange(n) * np.timedelta64(1, "m")  # no duplicates
+        series = data.TimeSeries("T", stamps.astype("datetime64[us]"),
+                                 o, hi, lo, c)
+        cleaned, dropped = data.clean(series)
+        assert 0 < dropped < n
+        assert_same_series(cleaned, series.take(np.flatnonzero(expected)))
+
     def test_idempotent(self):
         bars = [bar(m) for m in range(5)] + [bar(2)]
         bars.sort(key=lambda b: b[0])

@@ -46,10 +46,13 @@ def params_checksum(params):
 
 
 def pair_pass(gen, cond, rng):
-    """The generator pass train() feeds both steps of a batch: (2k, l)
-    noise through forward_pair. Returns (D's fake, G's fake, G's cache)."""
-    z2 = rng.standard_normal((2 * cond.shape[0], gen.noise_dim))
-    return gen.forward_pair(cond, z2)
+    """The generator passes train() runs for the steps of a batch: (2k, l)
+    noise, rows :k through the D step's pass, which keeps no trajectory,
+    and rows k: through forward. Returns (D's fake, G's fake, G's cache)."""
+    k = cond.shape[0]
+    z2 = rng.standard_normal((2 * k, gen.noise_dim))
+    fake_g, gen_cache = gen.forward(cond, z2[k:])
+    return gan._conditioned_chunk(gen, cond, z2[:k]), fake_g, gen_cache
 
 
 def two_pass_d_step(disc, conditions, targets, fake, adam_d, clip_norm=5.0):
@@ -226,12 +229,9 @@ class TestGenerator:
         cond, z = rng.standard_normal((3, 4)), rng.standard_normal((3, 2))
         out, _ = gen.forward(cond, z)
         kept = out.copy()
-        fake_d, fake_g, _ = gen.forward_pair(cond, np.concatenate([z, z]))
+        gen.forward(cond[:2], z[:2])
         gen.forward(-cond, -z)
         np.testing.assert_array_equal(out, kept)
-        # the double-width pass computes both halves like two single passes
-        np.testing.assert_array_equal(fake_d, kept)
-        np.testing.assert_array_equal(fake_g, kept)
 
 
 def reference_init(config, rng):
@@ -476,6 +476,37 @@ class TestTrainLoop:
         assert a.history.g_batch == b.history.g_batch
         for name, value in a.generator.params().items():
             np.testing.assert_array_equal(value, b.generator.params()[name])
+
+    def test_d_pass_runs_on_one_blas_thread(self, monkeypatch):
+        # unpinned, the D pass's small GEMMs wait on waking an idle BLAS
+        # thread, and a cold first batch takes about twice as long
+        events, pinned = [], 0
+        real_pin, real_chunk = gan._one_blas_thread, gan._conditioned_chunk
+        real_forward = Generator.forward
+
+        @contextlib.contextmanager
+        def pin():
+            nonlocal pinned
+            with real_pin() as threads:
+                pinned += 1
+                try:
+                    yield threads
+                finally:
+                    pinned -= 1
+
+        def chunk(*args):
+            events.append(("D pass", pinned))
+            return real_chunk(*args)
+
+        def forward(self, *args):
+            events.append(("G pass", pinned))
+            return real_forward(self, *args)
+
+        monkeypatch.setattr(gan, "_one_blas_thread", pin)
+        monkeypatch.setattr(gan, "_conditioned_chunk", chunk)
+        monkeypatch.setattr(Generator, "forward", forward)
+        train(toy_config(batch_size=3), toy_pairs(n=10), toy_scaler())
+        assert events == [("G pass", 0), ("D pass", 1)] * 3
 
     def test_batch_count_drops_partial(self):
         config = toy_config(epochs=1, batch_size=3)

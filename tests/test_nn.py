@@ -342,21 +342,6 @@ class TestLstmBackward:
         # forget gate saw c_prev = 0, so no gradient
         assert grads["W_xf"][0, 0] == 0.0
 
-    def test_row_range_of_double_pass_equals_fresh_pass(self):
-        # backward over rows k: of a 2k-row pass, as the training loop
-        # runs it, against a forward and backward over those k rows alone
-        rng = np.random.default_rng(13)
-        cell = make_cell(9, 16, rng)
-        k = 64
-        xs2 = rng.standard_normal((12, 2 * k, 9))
-        dz = rng.standard_normal((k, 16))
-        _, cache2 = nn.lstm_forward(cell, xs2, nn.LstmState.zeros(16, 2 * k))
-        dW2, dX2 = nn.lstm_backward(cell, nn.lstm_cache_rows(cache2, k), dz)
-        _, cache = nn.lstm_forward(cell, xs2[:, k:], nn.LstmState.zeros(16, k))
-        dW, dX = nn.lstm_backward(cell, cache, dz)
-        np.testing.assert_array_equal(dW2, dW)
-        np.testing.assert_array_equal(dX2, dX)
-
     def test_float32_workspace_returns_float64(self):
         rng = np.random.default_rng(19)
         cell = make_cell(9, 16, rng)
