@@ -94,8 +94,8 @@ def save(path, model: TrainedModel) -> None:
 
 
 def _decode_blocks(what: str, obj: dict, layout: Layout) -> dict:
-    """The blocks of `obj`, decoded; their names and shapes must be
-    exactly those of `layout`, which the config builds."""
+    """The blocks of `obj`, decoded: finite, and named and shaped exactly
+    as in `layout`, which the config builds."""
     blocks = {name: np.frombuffer(base64.b64decode(a["data"]), dtype="<f8")
               .reshape(a["shape"]) for name, a in obj.items()}
     if set(blocks) != set(layout):
@@ -105,6 +105,8 @@ def _decode_blocks(what: str, obj: dict, layout: Layout) -> dict:
         if blocks[name].shape != shape:
             raise DataError(f"{what}: block {name!r} has shape "
                             f"{blocks[name].shape}, the config needs {shape}")
+        if not np.isfinite(blocks[name]).all():
+            raise DataError(f"{what}: block {name!r} is not finite")
     return blocks
 
 
@@ -152,8 +154,9 @@ def load(path) -> TrainedModel:
 
     Raises DataError for anything else: a file that is not JSON, another
     format or version, a missing or malformed entry, an `rng_state` a
-    PCG64 generator refuses, or a parameter or Adam moment block whose name
-    or shape disagrees with the networks its config builds.
+    PCG64 generator refuses, or a parameter or Adam moment block that is
+    not finite or whose name or shape disagrees with the networks its
+    config builds.
     """
     try:
         with open(path, encoding="utf-8") as fh:

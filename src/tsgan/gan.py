@@ -36,17 +36,16 @@ import numpy as np
 from . import scaling
 from .data import PairSet
 from .errors import DataError, NumericError
-from .nn import (INIT_SCHEMES, DenseLayer, Layout, LstmCell, LstmState,
-                 LstmWorkspace, check_lstm_state, clip_global_norm,
-                 dense_backward, dense_forward, init_params, lstm_backward,
-                 lstm_forward, lstm_step, step_weights)
+from .nn import (INIT_SCHEMES, DenseLayer, Layout, LstmCell, LstmWorkspace,
+                 check_lstm_state, clip_global_norm, dense_backward,
+                 dense_forward, init_params, lstm_backward, lstm_forward,
+                 lstm_step, step_weights)
 from .optim import AdamState, adam_step, bce_with_logits, bce_with_logits_grad
 
-LN2 = float(np.log(2.0))
 # conditioned synthesis runs the generator over this many windows a pass
 SYNTH_CHUNK = 512
-# NumPy warnings synthesis silences: it checks its states and values itself
-# and raises NumericError for a non-finite one, which is then the only message
+# NumPy warnings that training and synthesis silence: they check their values
+# and raise NumericError for a non-finite one, which is then the only message
 _QUIET = {"over": "ignore", "invalid": "ignore"}
 # per OpenBLAS build, its (get, set) thread-count functions, first found wins
 _OPENBLAS_THREADS = (
@@ -134,12 +133,14 @@ class _Net:
 class Generator(_Net):
     """LSTM over the condition window plus repeated noise; scalar head.
 
+    The LSTM starts from zero; the head reads its final short-term state
+    in `head_values`, which `forward` and both synthesis modes share.
     The generator owns the LSTM's workspace, so passes of one batch shape
     reuse the same trajectory buffers: a cache from `forward` is valid
     only until the next `forward` on this generator, and `backward` on an
     older one raises nn.StaleCacheError. Returned values are fresh arrays.
     The workspace is float32, so the LSTM computes in float32; the weights
-    and everything downstream of the final state stay float64.
+    and everything from the head on stay float64.
     """
 
     def __init__(self, config: TrainConfig,
@@ -173,14 +174,19 @@ class Generator(_Net):
         xs = np.empty((d, k, 1 + self.noise_dim))
         xs[:, :, 0] = conditions.T
         xs[:, :, 1:] = z
-        state, lstm_cache = lstm_forward(
-            self.lstm, xs, LstmState.zeros(self.lstm.hidden_size, k),
-            self.workspace)
-        out, head_cache = dense_forward(self.head, state.z)
-        xhat = out[:, 0]
-        if not np.all(np.isfinite(xhat)):
-            raise NumericError("generator produced non-finite output")
+        final, lstm_cache = lstm_forward(self.lstm, xs, self.workspace)
+        xhat, head_cache = self.head_values(final)
         return xhat, (lstm_cache, head_cache)
+
+    def head_values(self, z: np.ndarray):
+        """The head's values (k,) for final short-term states z (h, k), in
+        any dtype, and the head's cache. z goes in as C-ordered float64
+        rows, so the head's GEMM rounds alike for every caller."""
+        out, cache = dense_forward(self.head,
+                                   z.T.astype(np.float64, order="C"))
+        if not np.isfinite(out).all():
+            raise NumericError("generator produced non-finite output")
+        return out[:, 0], cache
 
     def backward(self, cache, dxhat: np.ndarray) -> np.ndarray:
         """The parameter gradient, a vector in the layout of `theta`."""
@@ -324,39 +330,42 @@ def train(config: TrainConfig, pairs: PairSet, scaler: scaling.ScalerParams,
     if n_batches == 0:
         raise DataError(f"fewer pairs ({len(pairs)}) than one batch ({k})")
 
-    for epoch in range(1, config.epochs + 1):
-        perm = rng.permutation(len(pairs))
-        d_losses = np.empty(n_batches)
-        g_losses = np.empty(n_batches)
-        for b in range(n_batches):
-            idx = perm[b * k:(b + 1) * k]
-            cond = pairs.conditions[idx]
-            target = pairs.targets[idx]
-            try:
-                # noise rows :k make the D step's fake batch, rows k: the
-                # G step's. The D pass keeps no trajectory and runs on
-                # buffers of its own, so the G pass's stays valid for the
-                # G step's backward.
-                z2 = rng.standard_normal((2 * k, gen.noise_dim))
-                fake_g, gen_cache = gen.forward(cond, z2[k:])
-                # the D pass's and the steps' GEMMs are too small to gain
-                # from a second BLAS thread, and waking an idle one costs
-                # each call ms
-                with _one_blas_thread():
-                    fake_d = _conditioned_chunk(gen, cond, z2[:k])
-                    d_losses[b] = train_discriminator_step(
-                        disc, cond, target, fake_d, adam_d, config.clip_norm)
-                    g_losses[b] = train_generator_step(
-                        gen, disc, cond, fake_g, gen_cache, adam_g,
-                        config.clip_norm)
-            except NumericError as exc:
-                raise NumericError(f"{exc} (epoch {epoch}, batch {b})") from None
-        history.d_batch.extend(d_losses.tolist())
-        history.g_batch.extend(g_losses.tolist())
-        history.d_epoch.append(float(d_losses.mean()))
-        history.g_epoch.append(float(g_losses.mean()))
-        if progress is not None:
-            progress(epoch, history.d_epoch[-1], history.g_epoch[-1])
+    with np.errstate(**_QUIET):
+        for epoch in range(1, config.epochs + 1):
+            perm = rng.permutation(len(pairs))
+            d_losses = np.empty(n_batches)
+            g_losses = np.empty(n_batches)
+            for b in range(n_batches):
+                idx = perm[b * k:(b + 1) * k]
+                cond = pairs.conditions[idx]
+                target = pairs.targets[idx]
+                try:
+                    # noise rows :k make the D step's fake batch, rows k:
+                    # the G step's. The D pass keeps no trajectory and runs
+                    # on buffers of its own, so the G pass's stays valid
+                    # for the G step's backward.
+                    z2 = rng.standard_normal((2 * k, gen.noise_dim))
+                    fake_g, gen_cache = gen.forward(cond, z2[k:])
+                    # the D pass's and the steps' GEMMs are too small to
+                    # gain from a second BLAS thread, and waking an idle
+                    # one costs each call ms
+                    with _one_blas_thread():
+                        fake_d = _conditioned_chunk(gen, cond, z2[:k])
+                        d_losses[b] = train_discriminator_step(
+                            disc, cond, target, fake_d, adam_d,
+                            config.clip_norm)
+                        g_losses[b] = train_generator_step(
+                            gen, disc, cond, fake_g, gen_cache, adam_g,
+                            config.clip_norm)
+                except NumericError as exc:
+                    raise NumericError(
+                        f"{exc} (epoch {epoch}, batch {b})") from None
+            history.d_batch.extend(d_losses.tolist())
+            history.g_batch.extend(g_losses.tolist())
+            history.d_epoch.append(float(d_losses.mean()))
+            history.g_epoch.append(float(g_losses.mean()))
+            if progress is not None:
+                progress(epoch, history.d_epoch[-1], history.g_epoch[-1])
 
     return TrainedModel(generator=gen, discriminator=disc, adam_g=adam_g,
                         adam_d=adam_d, scaler=scaler, config=config,
@@ -434,10 +443,7 @@ def _conditioned_chunk(gen: Generator, windows: np.ndarray,
         lstm_step(W, s, p, c_prev, c, tc, s[:h], ig)
         c_prev, c = c, c_prev
     check_lstm_state(c_prev, s[:h])
-    out, _ = dense_forward(gen.head, s[:h].T.astype(np.float64, order="C"))
-    if not np.all(np.isfinite(out)):
-        raise NumericError("generator produced non-finite output")
-    return out[:, 0]
+    return gen.head_values(s[:h])[0]
 
 
 def _conditioned(gen: Generator, windows: np.ndarray, zs: np.ndarray,
@@ -530,7 +536,6 @@ def synthesize_series(gen: Generator, scaler: scaling.ScalerParams,
         W, s, p, c_prev, c, tc, ig = _step_buffers(gen, d)
         h = gen.lstm.hidden_size
         z = s[:h]
-        head_in = np.empty((1, h))
         with np.errstate(**_QUIET):
             for tick in range(m + d - 1):
                 if tick < m:
@@ -542,12 +547,9 @@ def synthesize_series(gen: Generator, scaler: scaling.ScalerParams,
                 lstm_step(W, s, p, c_prev, c, tc, z, ig)
                 check_lstm_state(c, z)
                 if tick >= d - 1:
-                    head_in[0] = z[:, (tick + 1) % d]
-                    value, _ = dense_forward(gen.head, head_in)
-                    if not np.isfinite(value[0, 0]):
-                        raise NumericError(
-                            "generator produced non-finite output")
-                    buf[tick + 1] = value[0, 0]
+                    done = (tick + 1) % d  # window tick-d+1's column
+                    value, _ = gen.head_values(z[:, done:done + 1])
+                    buf[tick + 1] = value[0]
                 c_prev, c = c, c_prev
         out = buf[d:]
     else:

@@ -12,15 +12,16 @@ W @ [z_prev; x_t] into a gate-major (4h, k) block. `lstm_step` is that
 step on caller-owned buffers, the one copy of its math. It runs one
 tanh over the whole block, on a copy of W from `step_weights` whose f,
 i, o rows are halved, and maps those rows to the sigmoid by
-sigmoid(x) = (1 + tanh(x / 2)) / 2. lstm_forward is the training pass:
-it loops lstm_step over a whole trajectory, kept for lstm_backward in an
-LstmWorkspace that is reused across calls of one shape; a forward cache
-is valid until the next forward on the same workspace. lstm_backward
-reads each step's gate, cell and tanh(c) blocks of that trajectory in
-place, as contiguous (rows, k) blocks. Synthesis keeps no trajectory and
-calls lstm_step on buffers of one step. The workspace's dtype is the
-dtype the cell computes in (the generator uses float32); weights, final
-states and gradients stay float64.
+sigmoid(x) = (1 + tanh(x / 2)) / 2. lstm_forward is the generator's
+training pass: from a zero state it loops lstm_step over a trajectory,
+kept for lstm_backward in an LstmWorkspace reused across calls of one
+shape, and returns only the final short-term state z, a slab of that
+workspace, valid like the cache until the next forward on it.
+lstm_backward turns a gradient on that z into the weight gradient alone,
+reading each step's gate, cell and tanh(c) blocks in place. Synthesis
+keeps no trajectory and calls lstm_step on buffers of one step. The
+workspace's dtype is the one the cell computes in (the generator's is
+float32); weights and their gradient stay float64.
 
 A `Layout` names the blocks of one flat float64 vector: a net's
 parameters, whose layers hold views of them, its gradient, or a moment.
@@ -145,28 +146,17 @@ class LstmCell:
         return cls(W)
 
 
-@dataclass
-class LstmState:
-    c: np.ndarray  # cell state, (k, h)
-    z: np.ndarray  # short-term memory / exposed state, (k, h)
-
-    @classmethod
-    def zeros(cls, hidden_size: int, batch: int = 1):
-        return cls(c=np.zeros((batch, hidden_size)),
-                   z=np.zeros((batch, hidden_size)))
-
-
 class StaleCacheError(RuntimeError):
     """A forward cache was used after a later forward reused its buffers."""
 
 
 class LstmWorkspace:
-    """Trajectory buffers for lstm_forward and lstm_backward: a training
-    pass and its backward keep every step.
+    """Buffers for lstm_forward and lstm_backward: a training pass keeps
+    every step for its backward.
 
     Buffers are kept between calls and reallocated only when the shape
     changes, so a steady training loop touches no fresh memory. Every
-    forward bumps `generation`; a cache is valid only while it matches.
+    pass bumps `generation`; a cache is valid only while it matches.
     Every buffer has the workspace's `dtype`, fixed when it is built, and
     the cell computes in it.
     Layout is time-major and gate-major with the batch along the last
@@ -176,43 +166,34 @@ class LstmWorkspace:
         P  (T, 4h, k)      gate activations f, i, o (sigmoid), c (tanh)
         C  (T+1, h, k)     C[t] = c_{t-1}, C[T] = final c
         TC (T, h, k)       tanh(c_t)
+        dS (h+in, k)       a backward step's W.T @ a; dS[:h] = dz_{t-1}
     """
 
-    def __init__(self, dtype=np.float64):
+    def __init__(self, dtype):
         self.dtype = np.dtype(dtype)
         self.generation = 0
-        self._forward_shape = None
-        self._backward_shape = None
+        self._shape = None
 
-    def forward_buffers(self, steps: int, k: int, hidden: int, n_in: int):
+    def start_pass(self, steps: int, k: int, hidden: int, n_in: int):
+        """Size the buffers for a pass of this shape; void older caches."""
+        self.generation += 1
         shape = (steps, k, hidden, n_in)
-        if shape != self._forward_shape:
-            self._forward_shape = shape
+        if shape != self._shape:
+            self._shape = shape
             dt = self.dtype
             self.S = np.empty((steps + 1, hidden + n_in, k), dt)
             self.P = np.empty((steps, 4 * hidden, k), dt)
             self.C = np.empty((steps + 1, hidden, k), dt)
             self.TC = np.empty((steps, hidden, k), dt)
-            self._ig = np.empty((hidden, k), dt)
-        self.generation += 1
-        return self.S, self.P, self.C, self.TC, self._ig
-
-    def backward_buffers(self, steps: int, k: int, hidden: int, n_in: int):
-        shape = (steps, k, hidden, n_in)
-        if shape != self._backward_shape:
-            self._backward_shape = shape
-            dt = self.dtype
-            self.dS = np.empty((steps, hidden + n_in, k), dt)
+            self.dS = np.empty((hidden + n_in, k), dt)
             self._a = np.empty((4 * hidden, k), dt)
-            self._dct = np.empty((hidden, k), dt)
-            self._dc = np.empty((hidden, k), dt)
+            self._ig, self._dct, self._dc = np.empty((3, hidden, k), dt)
             self._dW_t = np.empty((4 * hidden, hidden + n_in), dt)
-        return self.dS, self._a, self._dct, self._dc, self._dW_t
 
 
 def check_lstm_state(c, z) -> None:
     """Raise NumericError unless the cell and short-term states are finite."""
-    if not (np.all(np.isfinite(c)) and np.all(np.isfinite(z))):
+    if not (np.isfinite(c).all() and np.isfinite(z).all()):
         raise NumericError("non-finite LSTM state in forward pass")
 
 
@@ -252,19 +233,19 @@ def lstm_step(W, s, p, c_prev, c, tc, z, ig):
     np.multiply(tc, o, out=z)
 
 
-def lstm_forward(cell: LstmCell, xs, init: LstmState,
-                 workspace: LstmWorkspace | None = None):
-    """Run the cell over xs (T, k, in) from `init` (c and z of (k, h)).
+def lstm_forward(cell: LstmCell, xs, workspace: LstmWorkspace):
+    """Run the cell over xs (T, k, in) from a zero state.
 
     Each step is one `lstm_step` on the workspace's slabs: step t reads
     S[t] = [z_{t-1}; x_t] and writes z_t into S[t+1, :h].
-    Returns (final LstmState as fresh arrays, cache for lstm_backward).
-    The trajectory stays in `workspace` (a private one when None), so the
-    cache is valid only until the next forward on the same workspace.
-    The pass computes in the workspace's dtype, on one cast of W; the
-    final state is float64 whatever that dtype is. A non-finite final
-    state raises NumericError.
+    Returns (final z, cache for lstm_backward). The final z is the
+    workspace's (h, k) slab S[T, :h]; it and the cache are valid only
+    until the next forward on the same workspace. The pass computes in
+    the workspace's dtype, on one cast of W. A non-finite final state
+    raises NumericError.
     """
+    # xs stays the second positional argument, and the cache's "xs" the
+    # (T, k, in) input: perfbench's FLOP probes read both
     xs = np.asarray(xs, dtype=np.float64)
     if xs.ndim != 3 or xs.shape[0] == 0:
         raise NumericError("lstm_forward needs a non-empty (T, k, in) sequence")
@@ -273,54 +254,40 @@ def lstm_forward(cell: LstmCell, xs, init: LstmState,
     if n_in != cell.input_size:
         raise NumericError(f"LSTM input width {n_in} != cell input size "
                            f"{cell.input_size}")
-    if init.z.shape != (k, h) or init.c.shape != (k, h):
-        raise NumericError(f"initial LSTM state must be ({k}, {h})")
-    ws = LstmWorkspace() if workspace is None else workspace
-    S, P, C, TC, ig = ws.forward_buffers(T, k, h, n_in)
+    ws = workspace
+    ws.start_pass(T, k, h, n_in)
+    S, P, C, TC = ws.S, ws.P, ws.C, ws.TC
     S[:T, h:] = xs.transpose(0, 2, 1)
-    S[0, :h] = init.z.T
-    C[0] = init.c.T
+    S[0, :h] = C[0] = 0.0
     W = step_weights(cell.W, ws.dtype)
     for t in range(T):
-        lstm_step(W, S[t], P[t], C[t], C[t + 1], TC[t], S[t + 1, :h], ig)
-    # C order, as synthesis gives the head, so the head's GEMM rounds alike
-    state = LstmState(c=C[T].T.astype(np.float64, order="C"),
-                      z=S[T, :h].T.astype(np.float64, order="C"))
-    check_lstm_state(state.c, state.z)
-    cache = {"xs": xs, "workspace": ws, "generation": ws.generation}
-    return state, cache
+        lstm_step(W, S[t], P[t], C[t], C[t + 1], TC[t], S[t + 1, :h], ws._ig)
+    check_lstm_state(C[T], S[T, :h])
+    return S[T, :h], {"xs": xs, "workspace": ws, "generation": ws.generation}
 
 
-def lstm_backward(cell: LstmCell, cache: dict, dz_final, dc_final=None,
-                  dW=None):
-    """Backpropagation through time from a gradient on the final state.
+def lstm_backward(cell: LstmCell, cache: dict, dz_final, dW) -> None:
+    """Backpropagation through time from a gradient on the final z.
 
-    dz_final and dc_final are (k, h), one row per column of the pass.
-    Returns (dW of W's shape, per-step input gradients dX (T, k, in)), both
-    float64; the steps compute in the workspace's dtype. dW is zeroed and
-    summed into the float64 array `dW` when one is given (a view into a
-    net's gradient vector), else into a fresh one. Raises StaleCacheError
+    dz_final is (k, h), one row per column of the pass. The weight
+    gradient is zeroed and summed into `dW`, a float64 array of W's shape
+    (a view into a net's gradient vector); the steps compute in the
+    workspace's dtype. The inputs get no gradient. Raises StaleCacheError
     if the workspace has run a forward since `cache`.
     """
     ws = cache["workspace"]
     if cache["generation"] != ws.generation:
         raise StaleCacheError("LSTM cache is stale: its workspace has run "
                               "a later forward pass")
-    S, P, C, TC = ws.S, ws.P, ws.C, ws.TC
+    S, P, C, TC, dS = ws.S, ws.P, ws.C, ws.TC, ws.dS
+    a, dct, dc, dW_t = ws._a, ws._dct, ws._dc, ws._dW_t
     T, _, k = P.shape
     h = cell.hidden_size
-    n_in = S.shape[1] - h
-    dS, a, dct, dc, dW_t = ws.backward_buffers(T, k, h, n_in)
-
     dz = np.asarray(dz_final, dtype=ws.dtype).T
-    dc0 = np.zeros_like(dz) if dc_final is None else np.asarray(dc_final).T
-    if dz.shape != (h, k) or dc0.shape != (h, k):
-        raise NumericError(f"final-state gradients must be ({k}, {h})")
-    dc[...] = dc0
-    if dW is None:
-        dW = np.zeros_like(cell.W)
-    else:
-        dW[...] = 0.0
+    if dz.shape != (h, k):
+        raise NumericError(f"final-state gradient must be ({k}, {h})")
+    dc[...] = 0.0
+    dW[...] = 0.0
     WT = cell.W.astype(ws.dtype, copy=False).T
     a4 = a.reshape(4, h, k)
     gates = P.reshape(T, 4, h, k)
@@ -348,11 +315,11 @@ def lstm_backward(cell: LstmCell, cache: dict, dz_final, dc_final=None,
         a4[3] *= dct
         np.matmul(a, S[t].T, out=dW_t)
         dW += dW_t
-        np.matmul(WT, a, out=dS[t])
-        dz = dS[t, :h]
+        # all h + in rows, though only dz_{t-1} is read: the full GEMM is
+        # what perfbench's FLOP count assumes, and it keeps dW's bits
+        np.matmul(WT, a, out=dS)
+        dz = dS[:h]
         np.multiply(dct, f, out=dc)
-    dX = dS[:, h:].transpose(0, 2, 1).astype(np.float64, order="C")
-    return dW, dX
 
 
 def global_norm(arrays) -> float:

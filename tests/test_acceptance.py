@@ -17,10 +17,12 @@ import scipy.stats
 
 from tsgan import data, metrics, scaling
 from tsgan.cli import main
-from tsgan.gan import LN2, TrainConfig, synthesize_series, train
+from tsgan.gan import TrainConfig, synthesize_series, train
 from tsgan.gradcheck import run_suite
 from tsgan.nn import Layout
 from tsgan.optim import AdamState, adam_step, bce_with_logits
+
+LN2 = math.log(2.0)
 
 
 def _verdict(name, ok, detail=""):

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import tsgan
@@ -178,6 +178,16 @@ class TestTrain:
             "data error: train ran out of memory: Unable to allocate "
             "2.84 PiB for an array\n")
 
+    @pytest.mark.parametrize("lr", ["1e300", "inf"])
+    def test_diverging_lr_prints_only_the_message(self, price_csv, tmp_path,
+                                                  lr):
+        # the first batch overflows; NumPy's warnings stay silent and the
+        # steps' own check is the one line on stderr
+        proc = run_cli(*train_args(price_csv, tmp_path / "run", lr=lr))
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("numeric error:")
+        assert proc.stderr.count("\n") == 1
+
     def test_zero_clip_norm_still_trains(self, price_csv, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text('{"clip_norm": 0}')
@@ -269,66 +279,84 @@ class TestGenerate:
         assert [line.split(",")[1] for line in rows[1:]] == closes[8:]
         assert a.read_bytes() == b.read_bytes()
 
-    def test_recursive_non_finite_checkpoint_exit_3(self, price_csv, run_dir,
-                                                    tmp_path, capsys):
-        doc = json.loads((run_dir / "checkpoint.json").read_text())
-        doc["params"]["gen.head.bias"] = _block((1,), np.inf)
-        bad = tmp_path / "inf.json"
-        bad.write_text(json.dumps(doc))
-        capsys.readouterr()
-        rc = main(["generate", "--checkpoint", str(bad), "--input",
-                   str(price_csv), "--out", str(tmp_path / "g.csv"),
-                   "--mode", "recursive"])
-        err = capsys.readouterr().err
-        assert rc == 3
-        assert err.startswith("numeric error:")
-        assert "Traceback" not in err
-
-    def test_inf_weight_prints_only_the_message(self, price_csv, run_dir,
-                                                tmp_path):
-        # inf in the first noise column of W: the recursive wavefront's idle
-        # columns hold zero noise, and inf * 0 in the gates' matmul made
-        # NumPy warn ahead of the state check (threads: test_gan.py)
-        doc = json.loads((run_dir / "checkpoint.json").read_text())
-        block = doc["params"]["gen.lstm.W"]
-        W = np.frombuffer(base64.b64decode(block["data"]), "<f8").reshape(
-            block["shape"]).copy()
-        W[:, W.shape[0] // 4 + 1] = np.inf
-        block["data"] = base64.b64encode(W.tobytes()).decode()
-        bad = tmp_path / "inf.json"
-        bad.write_text(json.dumps(doc))
-        proc = run_cli("generate", "--checkpoint", bad, "--input", price_csv,
-                       "--out", tmp_path / "g.csv", "--mode", "recursive")
-        assert proc.returncode == 3
-        assert proc.stderr == ("numeric error: non-finite LSTM state in "
-                               "forward pass\n")
-
+    # a block that is not finite is refused at load, in either mode,
+    # before any synthesis could turn it into a value or a numeric error
     @staticmethod
-    def _generate_from_nan_lstm(price_csv, run_dir, tmp_path, capsys, mode):
-        doc = json.loads((run_dir / "checkpoint.json").read_text())
-        shape = doc["params"]["gen.lstm.W"]["shape"]
-        doc["params"]["gen.lstm.W"] = _block(shape, np.nan)
-        bad = tmp_path / "nan.json"
+    def _generate_from(doc, price_csv, tmp_path, capsys, mode, block):
+        bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         capsys.readouterr()
         rc = main(["generate", "--checkpoint", str(bad), "--input",
                    str(price_csv), "--out", str(tmp_path / "g.csv"),
                    "--mode", mode])
         err = capsys.readouterr().err
-        assert rc == 3
-        assert err.startswith("numeric error:")
-        assert "non-finite LSTM state" in err
-        assert "Traceback" not in err
+        assert rc == 2
+        assert err == f"data error: {bad}: {block} is not finite\n"
+        assert not (tmp_path / "g.csv").exists()
 
-    def test_recursive_non_finite_state_exit_3(self, price_csv, run_dir,
+    @staticmethod
+    def _with_inf_noise_column(doc):
+        # inf in the first noise column of W: conditioned noise is never 0,
+        # so tanh took inf * noise to a finite gate and generate exited 0
+        block = doc["params"]["gen.lstm.W"]
+        W = np.frombuffer(base64.b64decode(block["data"]), "<f8").reshape(
+            block["shape"]).copy()
+        W[:, W.shape[0] // 4 + 1] = np.inf
+        block["data"] = base64.b64encode(W.tobytes()).decode()
+        return doc
+
+    def test_recursive_non_finite_checkpoint_exit_2(self, price_csv, run_dir,
+                                                    tmp_path, capsys):
+        doc = json.loads((run_dir / "checkpoint.json").read_text())
+        doc["params"]["gen.head.bias"] = _block((1,), np.inf)
+        self._generate_from(doc, price_csv, tmp_path, capsys, "recursive",
+                            "params: block 'gen.head.bias'")
+
+    def test_inf_weight_prints_only_the_message(self, price_csv, run_dir,
+                                                tmp_path):
+        doc = self._with_inf_noise_column(
+            json.loads((run_dir / "checkpoint.json").read_text()))
+        bad = tmp_path / "inf.json"
+        bad.write_text(json.dumps(doc))
+        proc = run_cli("generate", "--checkpoint", bad, "--input", price_csv,
+                       "--out", tmp_path / "g.csv", "--mode", "recursive")
+        assert proc.returncode == 2
+        assert proc.stderr == (f"data error: {bad}: params: block "
+                               f"'gen.lstm.W' is not finite\n")
+
+    def test_conditioned_inf_weight_exit_2(self, price_csv, run_dir,
+                                           tmp_path, capsys):
+        doc = self._with_inf_noise_column(
+            json.loads((run_dir / "checkpoint.json").read_text()))
+        self._generate_from(doc, price_csv, tmp_path, capsys, "conditioned",
+                            "params: block 'gen.lstm.W'")
+
+    def _generate_from_nan_lstm(self, price_csv, run_dir, tmp_path, capsys,
+                                mode):
+        doc = json.loads((run_dir / "checkpoint.json").read_text())
+        shape = doc["params"]["gen.lstm.W"]["shape"]
+        doc["params"]["gen.lstm.W"] = _block(shape, np.nan)
+        self._generate_from(doc, price_csv, tmp_path, capsys, mode,
+                            "params: block 'gen.lstm.W'")
+
+    def test_recursive_non_finite_state_exit_2(self, price_csv, run_dir,
                                                tmp_path, capsys):
         self._generate_from_nan_lstm(price_csv, run_dir, tmp_path, capsys,
                                      "recursive")
 
-    def test_conditioned_non_finite_state_exit_3(self, price_csv, run_dir,
+    def test_conditioned_non_finite_state_exit_2(self, price_csv, run_dir,
                                                  tmp_path, capsys):
         self._generate_from_nan_lstm(price_csv, run_dir, tmp_path, capsys,
                                      "conditioned")
+
+    def test_nan_adam_moment_exit_2(self, price_csv, run_dir, tmp_path,
+                                    capsys):
+        # the moments feed no synthesis, so only the load can refuse them
+        doc = json.loads((run_dir / "checkpoint.json").read_text())
+        shape = doc["adam_g"]["m"]["gen.lstm.W"]["shape"]
+        doc["adam_g"]["m"]["gen.lstm.W"] = _block(shape, np.nan)
+        self._generate_from(doc, price_csv, tmp_path, capsys, "conditioned",
+                            "adam_g.m: block 'gen.lstm.W'")
 
     def test_bad_checkpoint_exit_2(self, price_csv, tmp_path):
         bad = tmp_path / "bad.json"
@@ -873,6 +901,39 @@ def test_arbitrary_bytes_exit_0_or_2(header, body, command):
             rc = main([command, "--input", str(src), "--out", str(out)])
     assert rc in (0, 2), err.getvalue()
     assert rc == 0 or err.getvalue().startswith("data error:")
+
+
+def _json_object(raw: bytes) -> bool:
+    try:
+        return isinstance(json.loads(raw.decode("utf-8")), dict)
+    except (ValueError, RecursionError):  # UnicodeDecodeError included
+        return False
+
+
+@given(st.binary(max_size=64), st.sampled_from(["generate", "train"]))
+@settings(max_examples=100, deadline=None)
+def test_garbage_checkpoint_or_config_exit_2_or_4(garbage, command):
+    """Bytes given as `generate --checkpoint` or as `train --config` make
+    `main` exit 2 or 4 with one line on stderr. Bytes that decode to a
+    JSON object are left out: as a config they may well train."""
+    assume(command == "generate" or not _json_object(garbage))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        prices, given_file = tmp / "prices.csv", tmp / "given"
+        prices.write_text("timestamp,close\n" + "".join(
+            f"2022-03-21T00:{i:02d}:00Z,{100 + i % 7}\n" for i in range(40)))
+        given_file.write_bytes(garbage)
+        if command == "generate":
+            argv = ["generate", "--checkpoint", given_file, "--input", prices,
+                    "--out", tmp / "g.csv"]
+        else:
+            argv = train_args(prices, tmp / "run", config=given_file)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            rc = main([str(a) for a in argv])
+    assert rc in (2, 4), err.getvalue()
+    assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
 
 
 class TestSeedEnvFallback:

@@ -14,8 +14,7 @@ from tsgan import checkpoint, data, gan, scaling
 from tsgan.errors import DataError, NumericError
 from tsgan.gan import (Discriminator, Generator, TrainConfig, synthesize_series,
                        train, train_discriminator_step, train_generator_step)
-from tsgan.nn import (LstmState, LstmWorkspace, clip_global_norm,
-                      dense_forward, lstm_forward)
+from tsgan.nn import LstmWorkspace, clip_global_norm, dense_forward
 from tsgan.optim import AdamState, adam_step, bce_with_logits, bce_with_logits_grad
 
 LN2 = math.log(2.0)
@@ -111,9 +110,10 @@ def recursive_reference(gen, scaler, real_closes, d, seed):
 
 
 def wavefront_reference(gen, scaler, real_closes, d, seed):
-    """Recursive synthesis as a wavefront of one-step lstm_forward passes:
-    at each tick the d windows in flight step together as the d rows of a
-    fresh T=1 pass, carrying their state between passes as LstmState."""
+    """Recursive synthesis as a wavefront of nn.lstm_step calls: at each
+    tick the d windows in flight step together as the d rows of one step
+    on fresh buffers, carrying their state between ticks as LstmState."""
+    from lstm_oracle import LstmState, kernel_step
     normalized = scaling.transform(np.asarray(real_closes, dtype=np.float64),
                                    scaler)
     n = normalized.shape[0]
@@ -122,16 +122,16 @@ def wavefront_reference(gen, scaler, real_closes, d, seed):
     buf = np.empty(n)
     buf[:d] = normalized[:d]
     zs = rng.standard_normal((m, gen.noise_dim))
-    xs = np.zeros((1, d, 1 + gen.noise_dim))
+    x = np.zeros((d, 1 + gen.noise_dim))
     state = LstmState.zeros(gen.lstm.hidden_size, d)
     for tick in range(m + d - 1):
         if tick < m:
             row = tick % d
             state.c[row] = 0.0
             state.z[row] = 0.0
-            xs[0, row, 1:] = zs[tick]
-        xs[0, :, 0] = buf[tick]
-        state, _ = lstm_forward(gen.lstm, xs, state, gen.workspace)
+            x[row, 1:] = zs[tick]
+        x[:, 0] = buf[tick]
+        state, _ = kernel_step(gen.lstm, x, state, gen.workspace.dtype)
         if tick >= d - 1:
             row = (tick + 1) % d
             value, _ = dense_forward(gen.head, state.z[row:row + 1])
@@ -164,7 +164,7 @@ class TestGenerator:
     def test_matches_hand_trace_two_steps(self):
         """d=2: the LSTM sees [cond_0, z] then [cond_1, z]; the head reads
         the final short-term state. Trace both steps in scalars."""
-        from lstm_oracle import lstm_step
+        from lstm_oracle import LstmState, lstm_step
         config = toy_config(condition_dim=2)
         gen = Generator(config, np.random.default_rng(6))
         gen.workspace = LstmWorkspace(np.float64)  # float64 scalar oracle
@@ -563,8 +563,8 @@ class TestSynthesize:
 
     @pytest.mark.parametrize("d, m", _recursive_cases())
     def test_recursive_matches_wavefront_reference(self, d, m):
-        # the same wavefront on the generator's own float32 workspace, one
-        # lstm_forward call per tick: the same products in the same order,
+        # the same wavefront in the generator's float32, one nn.lstm_step
+        # on fresh buffers per tick: the same products in the same order,
         # so the values must agree bit for bit
         gen = Generator(TrainConfig(condition_dim=d), np.random.default_rng(d))
         assert gen.workspace.dtype == np.float32

@@ -10,12 +10,27 @@ from tsgan.errors import NumericError
 from tsgan.gradcheck import rel_error
 
 from csv_reference import same_bits
-from lstm_oracle import gate_weights, lstm_fold, lstm_step
+from lstm_oracle import (LstmState, gate_weights, kernel_step, lstm_fold,
+                         lstm_step)
 
 
 def make_cell(input_size, hidden, rng=None, scheme="uniform-xavier"):
     rng = rng or np.random.default_rng(0)
     return nn.LstmCell.create(input_size, hidden, rng, scheme)
+
+
+def forward(cell, xs, dtype=np.float64):
+    """lstm_forward on a fresh workspace: (final z as (k, h) float64 rows,
+    final c likewise, cache)."""
+    z, cache = nn.lstm_forward(cell, xs, nn.LstmWorkspace(dtype))
+    c = cache["workspace"].C[-1]
+    return z.T.astype(np.float64), c.T.astype(np.float64), cache
+
+
+def backward(cell, cache, dz):
+    dW = np.empty_like(cell.W)
+    nn.lstm_backward(cell, cache, dz, dW)
+    return dW
 
 
 class TestActivations:
@@ -116,21 +131,21 @@ class TestDense:
 class TestLstmStep:
     def test_zero_weights_gates_half(self):
         cell = make_cell(2, 3, scheme="zeros")
-        state, (f, i, o, g) = lstm_step(cell, np.ones(2), nn.LstmState.zeros(3))
+        state, (f, i, o, g) = lstm_step(cell, np.ones(2), LstmState.zeros(3))
         for gate in (f, i, o):
             np.testing.assert_array_equal(gate, 0.5)
         np.testing.assert_array_equal(state.c, 0.0)
         np.testing.assert_array_equal(state.z, 0.0)
         # the kernel's gate block for the step holds the same activations
-        _, cache = nn.lstm_forward(cell, np.ones((1, 1, 2)), nn.LstmState.zeros(3))
+        _, _, cache = forward(cell, np.ones((1, 1, 2)))
         np.testing.assert_array_equal(cache["workspace"].P[0, :9], 0.5)
         np.testing.assert_array_equal(cache["workspace"].P[0, 9:], 0.0)
 
     def test_zero_weights_prev_cell_decays(self):
         cell = make_cell(1, 1, scheme="zeros")
-        prev = nn.LstmState(c=np.array([[1.0]]), z=np.array([[0.0]]))
+        prev = LstmState(c=np.array([[1.0]]), z=np.array([[0.0]]))
         for state in (lstm_step(cell, np.zeros(1), prev)[0],
-                      nn.lstm_forward(cell, np.zeros((1, 1, 1)), prev)[0]):
+                      kernel_step(cell, np.zeros(1), prev)[0]):
             assert state.c[0, 0] == pytest.approx(0.5)
             assert state.z[0, 0] == pytest.approx(np.tanh(0.5) * 0.5, abs=1e-9)
 
@@ -140,9 +155,9 @@ class TestLstmStep:
         cell = make_cell(1, 2, rng)
         w = gate_weights(cell.W)
         x = np.array([0.7])
-        prev = nn.LstmState(c=np.array([[0.1, -0.2]]), z=np.array([[0.3, 0.05]]))
+        prev = LstmState(c=np.array([[0.1, -0.2]]), z=np.array([[0.3, 0.05]]))
         via_oracle, _ = lstm_step(cell, x, prev)
-        via_kernel, _ = nn.lstm_forward(cell, x.reshape(1, 1, 1), prev)
+        via_kernel, _ = kernel_step(cell, x, prev)
 
         def sig(v):
             return 1.0 / (1.0 + np.exp(-v))
@@ -164,39 +179,45 @@ class TestLstmForward:
         rng = np.random.default_rng(5)
         cell = make_cell(3, 4, rng)
         x = rng.standard_normal(3)
-        init = nn.LstmState.zeros(4)
-        via_fold, _ = nn.lstm_forward(cell, x.reshape(1, 1, 3), init)
-        via_step, _ = lstm_step(cell, x, init)
-        np.testing.assert_allclose(via_fold.z, via_step.z, atol=1e-14)
-        np.testing.assert_allclose(via_fold.c, via_step.c, atol=1e-14)
+        z, c, _ = forward(cell, x.reshape(1, 1, 3))
+        via_step, _ = lstm_step(cell, x, LstmState.zeros(4))
+        np.testing.assert_allclose(z, via_step.z, atol=1e-14)
+        np.testing.assert_allclose(c, via_step.c, atol=1e-14)
 
     def test_zero_weights_stay_zero(self):
         cell = make_cell(2, 3, scheme="zeros")
         xs = np.random.default_rng(6).standard_normal((5, 1, 2))
-        state, _ = nn.lstm_forward(cell, xs, nn.LstmState.zeros(3))
-        np.testing.assert_array_equal(state.c, 0.0)
-        np.testing.assert_array_equal(state.z, 0.0)
+        z, c, _ = forward(cell, xs)
+        np.testing.assert_array_equal(c, 0.0)
+        np.testing.assert_array_equal(z, 0.0)
 
     def test_three_steps_match_chained_steps(self):
         rng = np.random.default_rng(7)
         cell = make_cell(2, 3, rng)
         xs = rng.standard_normal((3, 1, 2))
-        folded, _ = nn.lstm_forward(cell, xs, nn.LstmState.zeros(3))
-        state = nn.LstmState.zeros(3)
+        z, c, _ = forward(cell, xs)
+        state = LstmState.zeros(3)
         for x in xs:
             state, _ = lstm_step(cell, x, state)
-        np.testing.assert_allclose(folded.z, state.z, atol=1e-14)
-        np.testing.assert_allclose(folded.c, state.c, atol=1e-14)
+        np.testing.assert_allclose(z, state.z, atol=1e-14)
+        np.testing.assert_allclose(c, state.c, atol=1e-14)
 
     @pytest.mark.parametrize("k", [1, 128])
     def test_matches_oracle_fold(self, k):
-        # the generator's shape: 60 steps, close + 8 noise inputs, h = 64
+        # the generator's shape: 60 steps, close + 8 noise inputs, h = 64;
+        # the pass from zero, and kernel steps from a random state
         rng = np.random.default_rng(12)
         cell = make_cell(9, 64, rng)
         xs = rng.standard_normal((60, k, 9))
-        init = nn.LstmState(c=rng.standard_normal((k, 64)),
-                            z=rng.standard_normal((k, 64)))
-        got, _ = nn.lstm_forward(cell, xs, init)
+        z, c, _ = forward(cell, xs)
+        want = lstm_fold(cell, xs, LstmState.zeros(64, k))
+        np.testing.assert_allclose(z, want.z, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(c, want.c, rtol=0, atol=1e-12)
+        init = LstmState(c=rng.standard_normal((k, 64)),
+                         z=rng.standard_normal((k, 64)))
+        got = init
+        for x_t in xs:
+            got, _ = kernel_step(cell, x_t, got)
         want = lstm_fold(cell, xs, init)
         np.testing.assert_allclose(got.z, want.z, rtol=0, atol=1e-12)
         np.testing.assert_allclose(got.c, want.c, rtol=0, atol=1e-12)
@@ -204,9 +225,9 @@ class TestLstmForward:
     def test_empty_sequence_errors(self):
         cell = make_cell(2, 3)
         with pytest.raises(NumericError):
-            nn.lstm_forward(cell, np.empty((0, 1, 2)), nn.LstmState.zeros(3))
+            forward(cell, np.empty((0, 1, 2)))
         with pytest.raises(NumericError):
-            nn.lstm_forward(cell, np.ones((4, 2)), nn.LstmState.zeros(3))
+            forward(cell, np.ones((4, 2)))
 
 
 class TestStepWeights:
@@ -229,8 +250,7 @@ class TestStepWeights:
         cell = make_cell(3, 4, rng)
         before = cell.W.copy()
         for _ in range(2):
-            nn.lstm_forward(cell, rng.standard_normal((5, 2, 3)),
-                            nn.LstmState.zeros(4, 2), nn.LstmWorkspace(dtype))
+            forward(cell, rng.standard_normal((5, 2, 3)), dtype)
         assert cell.W.tobytes() == before.tobytes()
 
 
@@ -257,22 +277,18 @@ def test_gates_at_saturation_match_oracle(dtype, seed, T, k, h, n_in, scale):
     rng = np.random.default_rng(seed)
     cell = nn.LstmCell(scale * rng.uniform(-1, 1, (4 * h, h + n_in)))
     xs = rng.standard_normal((T, k, n_in))
-    init = nn.LstmState(c=rng.standard_normal((k, h)),
-                        z=rng.uniform(-1, 1, (k, h)))
-    ws = nn.LstmWorkspace(dtype)
-    got, _ = nn.lstm_forward(cell, xs, init, ws)
+    init = LstmState(c=rng.standard_normal((k, h)),
+                     z=rng.uniform(-1, 1, (k, h)))
+    got = init
     atol = _STEP_ATOL[dtype]
     with np.errstate(over="ignore"):  # the oracle's exp(-x) past -709
         for t in range(T):
-            prev = nn.LstmState(c=ws.C[t].T.astype(np.float64),
-                                z=ws.S[t, :h].T.astype(np.float64))
-            want, gates = lstm_step(cell, xs[t], prev)
-            np.testing.assert_allclose(ws.P[t].T, np.hstack(gates),
-                                       rtol=0, atol=atol)
-            np.testing.assert_allclose(ws.C[t + 1].T, want.c, rtol=0,
+            want, gates = lstm_step(cell, xs[t], got)
+            got, p = kernel_step(cell, xs[t], got, dtype)
+            np.testing.assert_allclose(p, np.hstack(gates), rtol=0,
                                        atol=atol)
-            np.testing.assert_allclose(ws.S[t + 1, :h].T, want.z, rtol=0,
-                                       atol=atol)
+            np.testing.assert_allclose(got.c, want.c, rtol=0, atol=atol)
+            np.testing.assert_allclose(got.z, want.z, rtol=0, atol=atol)
         if dtype == np.float64:
             want = lstm_fold(cell, xs, init)
             np.testing.assert_allclose(got.c, want.c, rtol=0, atol=_FOLD_ATOL)
@@ -289,13 +305,16 @@ def test_float32_pre_activations_of_1e4_raise_no_flag():
     W[:, h] = 1e4 * rng.choice([-1.0, 1.0], 4 * h)
     cell = nn.LstmCell(W)
     xs = np.array([1.0, -1.0, -1.0, 1.0]).reshape(T, 1, 1)
-    init = nn.LstmState(c=np.array([[0.5, -2.0, 3.0]]), z=np.zeros((1, h)))
-    ws = nn.LstmWorkspace(np.float32)
+    init = LstmState(c=np.array([[0.5, -2.0, 3.0]]), z=np.zeros((1, h)))
+    state, gates = init, []
     with np.errstate(all="raise"):
-        state, _ = nn.lstm_forward(cell, xs, init, ws)
+        for x_t in xs:
+            state, p = kernel_step(cell, x_t, state, np.float32)
+            gates.append(p)
     assert np.all(np.isfinite(state.c)) and np.all(np.isfinite(state.z))
-    assert set(np.unique(ws.P[:, :3 * h])) <= {0.0, 1.0}
-    assert set(np.unique(ws.P[:, 3 * h:])) <= {-1.0, 1.0}
+    gates = np.array(gates)
+    assert set(np.unique(gates[..., :3 * h])) <= {0.0, 1.0}
+    assert set(np.unique(gates[..., 3 * h:])) <= {-1.0, 1.0}
     with np.errstate(over="ignore"):
         want = lstm_fold(cell, xs, init)
     np.testing.assert_array_equal(state.c, want.c)
@@ -307,10 +326,8 @@ class TestLstmBackward:
         rng = np.random.default_rng(8)
         cell = make_cell(2, 3, rng)
         xs = rng.standard_normal((4, 1, 2))
-        _, cache = nn.lstm_forward(cell, xs, nn.LstmState.zeros(3))
-        dW, dX = nn.lstm_backward(cell, cache, np.zeros((1, 3)))
-        assert dW.shape == cell.W.shape and not np.any(dW)
-        assert dX.shape == xs.shape and not np.any(dX)
+        _, _, cache = forward(cell, xs)
+        assert not np.any(backward(cell, cache, np.zeros((1, 3))))
 
     def test_single_step_hidden_one_hand_chain_rule(self):
         # hidden=1, input=1, one step from zero state:
@@ -318,9 +335,8 @@ class TestLstmBackward:
         cell = make_cell(1, 1, np.random.default_rng(9))
         w = gate_weights(cell.W)
         x = np.array([0.8])
-        _, cache = nn.lstm_forward(cell, x.reshape(1, 1, 1), nn.LstmState.zeros(1))
-        dW, _ = nn.lstm_backward(cell, cache, np.ones((1, 1)))
-        grads = gate_weights(dW)
+        _, _, cache = forward(cell, x.reshape(1, 1, 1))
+        grads = gate_weights(backward(cell, cache, np.ones((1, 1))))
 
         def sig(v):
             return 1.0 / (1.0 + np.exp(-v))
@@ -348,15 +364,15 @@ class TestLstmBackward:
         xs = rng.standard_normal((12, 8, 9))
         dz = rng.standard_normal((8, 16))
         ws = nn.LstmWorkspace(np.float32)
-        state, cache = nn.lstm_forward(cell, xs, nn.LstmState.zeros(16, 8), ws)
-        dW, dX = nn.lstm_backward(cell, cache, dz)
-        assert ws.P.dtype == ws.dS.dtype == np.float32
-        for a in (state.c, state.z, dW, dX):
-            assert a.dtype == np.float64 and a.flags.c_contiguous
-        assert cell.W.dtype == np.float64
-        _, cache64 = nn.lstm_forward(cell, xs, nn.LstmState.zeros(16, 8))
-        dW64, dX64 = nn.lstm_backward(cell, cache64, dz)
-        assert rel_error(dW, dW64) < 1e-3 and rel_error(dX, dX64) < 1e-3
+        z, cache = nn.lstm_forward(cell, xs, ws)
+        dW = backward(cell, cache, dz)
+        # the final z is the workspace's float32 slab; dW, summed into the
+        # caller's float64 array, and the cell's weights stay float64
+        assert z.dtype == ws.P.dtype == ws.dS.dtype == np.float32
+        assert np.shares_memory(z, ws.S)
+        assert dW.dtype == cell.W.dtype == np.float64
+        _, _, cache64 = forward(cell, xs)
+        assert rel_error(dW, backward(cell, cache64, dz)) < 1e-3
 
     def test_given_dW_is_zeroed_and_summed_into(self):
         # a view of a gradient vector, holding stale values, gets the
@@ -365,26 +381,25 @@ class TestLstmBackward:
         cell = make_cell(9, 16, rng)
         xs = rng.standard_normal((12, 8, 9))
         dz = rng.standard_normal((8, 16))
-        ws = nn.LstmWorkspace(np.float32)
-        _, cache = nn.lstm_forward(cell, xs, nn.LstmState.zeros(16, 8), ws)
-        dW, dX = nn.lstm_backward(cell, cache, dz)
+        _, _, cache = forward(cell, xs, np.float32)
+        fresh = np.zeros_like(cell.W)
+        nn.lstm_backward(cell, cache, dz, fresh)
         vector = np.full(cell.W.size + 3, 7.0)
         out = vector[3:].reshape(cell.W.shape)
-        dW_out, dX_out = nn.lstm_backward(cell, cache, dz, dW=out)
-        assert dW_out is out and vector[:3].tolist() == [7.0] * 3
-        assert same_bits(out, dW) and same_bits(dX_out, dX)
+        nn.lstm_backward(cell, cache, dz, out)
+        assert vector[:3].tolist() == [7.0] * 3
+        assert same_bits(out, fresh)
 
     def test_stale_cache_raises(self):
         rng = np.random.default_rng(14)
         cell = make_cell(2, 3, rng)
-        ws = nn.LstmWorkspace()
+        ws = nn.LstmWorkspace(np.float64)
         xs = rng.standard_normal((4, 5, 2))
-        init = nn.LstmState.zeros(3, 5)
-        _, old = nn.lstm_forward(cell, xs, init, ws)
-        _, new = nn.lstm_forward(cell, -xs, init, ws)
+        _, old = nn.lstm_forward(cell, xs, ws)
+        _, new = nn.lstm_forward(cell, -xs, ws)
         with pytest.raises(nn.StaleCacheError):
-            nn.lstm_backward(cell, old, np.ones((5, 3)))
-        nn.lstm_backward(cell, new, np.ones((5, 3)))
+            backward(cell, old, np.ones((5, 3)))
+        backward(cell, new, np.ones((5, 3)))
 
 
 class TestInitParams:
