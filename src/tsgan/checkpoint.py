@@ -17,8 +17,10 @@ from __future__ import annotations
 import base64
 import dataclasses
 import json
+import math
 import os
 from contextlib import contextmanager
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +34,13 @@ from .scaling import ScalerParams
 FORMAT = "tsgan-checkpoint"
 VERSION = 2
 CONFIG_KEYS = frozenset(f.name for f in dataclasses.fields(TrainConfig))
-ADAM_KEYS = ("lr", "beta1", "beta2", "epsilon", "t")
+# what a checkpoint scalar must be: (its type, a test of its value, the
+# two in words); a bool counts as neither a number nor an integer
+_POSITIVE = (Real, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
+_FRACTION = (Real, lambda v: 0 <= v < 1, "a number in [0, 1)")
+_COUNT = (Integral, lambda v: v >= 0, "an integer >= 0")
+ADAM_KEYS = {"lr": _POSITIVE, "beta1": _FRACTION, "beta2": _FRACTION,
+             "epsilon": _POSITIVE, "t": _COUNT}
 
 
 def _encode_array(a: np.ndarray) -> dict:
@@ -110,6 +118,20 @@ def _decode_blocks(what: str, obj: dict, layout: Layout) -> dict:
     return blocks
 
 
+def _scalar(what: str, value, rule):
+    """`value` if it is of `rule`'s type and passes its test; else a
+    DataError naming `what`."""
+    kind, test, words = rule
+    try:
+        ok = not isinstance(value, bool) and isinstance(value, kind) \
+            and test(value)
+    except OverflowError:  # an int too large for a float
+        ok = False
+    if not ok:
+        raise DataError(f"{what} must be {words}, not {value!r}")
+    return value
+
+
 def _model_from(doc: dict) -> TrainedModel:
     cfg = doc["config"]
     if set(cfg) != CONFIG_KEYS:
@@ -128,8 +150,9 @@ def _model_from(doc: dict) -> TrainedModel:
     for what, layout in (("adam_g", gen_layout), ("adam_d", disc_layout)):
         m, v = (layout.pack(_decode_blocks(f"{what}.{key}", doc[what][key],
                                            layout)) for key in ("m", "v"))
-        adam[what] = AdamState(m, v, **{key: doc[what][key]
-                                        for key in ADAM_KEYS})
+        adam[what] = AdamState(m, v, **{
+            key: _scalar(f"{what}.{key}", doc[what][key], rule)
+            for key, rule in ADAM_KEYS.items()})
 
     rng_state = doc["rng_state"]
     bit_generator = np.random.PCG64()
@@ -144,7 +167,8 @@ def _model_from(doc: dict) -> TrainedModel:
     return TrainedModel(generator=Generator(config, blocks=params),
                         discriminator=Discriminator(config, blocks=params),
                         adam_g=adam["adam_g"], adam_d=adam["adam_d"],
-                        scaler=scaler, config=config, epoch=doc["epoch"],
+                        scaler=scaler, config=config,
+                        epoch=_scalar("epoch", doc["epoch"], _COUNT),
                         history=history,
                         rng_state=bit_generator.state)
 
@@ -154,9 +178,11 @@ def load(path) -> TrainedModel:
 
     Raises DataError for anything else: a file that is not JSON, another
     format or version, a missing or malformed entry, an `rng_state` a
-    PCG64 generator refuses, or a parameter or Adam moment block that is
-    not finite or whose name or shape disagrees with the networks its
-    config builds.
+    PCG64 generator refuses, an Adam `lr` or `epsilon` that is not a
+    finite number > 0, a `beta1` or `beta2` outside [0, 1), an Adam `t` or
+    an `epoch` that is not an integer >= 0, or a parameter or Adam moment
+    block that is not finite or whose name or shape disagrees with the
+    networks its config builds.
     """
     try:
         with open(path, encoding="utf-8") as fh:

@@ -137,6 +137,13 @@ def open_csv(path):
             raise DataError(f"{path} line {reader.line_num}: {exc}") from None
 
 
+def _column_index(header: list[str], names) -> list[int]:
+    """The column of each of `names` in `header`: a repeated header name
+    reads its last column, as in `csv.DictReader`."""
+    last = {name: i for i, name in enumerate(header)}
+    return [last[name] for name in names]
+
+
 def read_columns(reader, header: list[str], names):
     """Stream the records of a `csv.reader` whose header row `header` has
     been read: each record as the tuple of its cells under `names` (two or
@@ -148,8 +155,7 @@ def read_columns(reader, header: list[str], names):
     missing cells as "", and extra cells are ignored. The chain runs in C:
     each record is padded by one list concatenation, then picked.
     """
-    last = {name: i for i, name in enumerate(header)}
-    index = [last[name] for name in names]
+    index = _column_index(header, names)
     padding = [""] * (max(index) + 1)
     return map(operator.itemgetter(*index),
                map(operator.add, filter(None, reader), repeat(padding)))
@@ -157,28 +163,36 @@ def read_columns(reader, header: list[str], names):
 
 def read_floats(path, names) -> tuple[np.ndarray, ...]:
     """The columns `names` (two or more) of the CSV at `path` as float64
-    arrays, one per name, read through `open_csv` and `read_columns`.
+    arrays, one per name, read through `open_csv`.
 
-    A header without all of `names`, a file without data rows, or a cell
-    that is empty (a short row reads its missing cells as empty), not a
-    number or not finite is a DataError. A cell's error names its data row
-    (1 is the first record after the header; blank lines are not counted)
-    and its column.
+    The cells are those `read_columns` gives. A header without all of
+    `names`, a file without data rows, or a cell that is empty (a short
+    row reads its missing cells as empty), not a number or not finite is a
+    DataError. A cell's error names its data row (1 is the first record
+    after the header; blank lines are not counted) and its column.
     """
     flat = array("d")  # the cells row by row, parsed without a float each
     with open_csv(path) as reader:
         header = next(reader, [])
         if not set(names) <= set(header):
             raise DataError(f"{path} lacks {'/'.join(names)} columns")
+        # no padded copy of each row: a row too short for a column raises
+        # IndexError, and its missing cell, read as "", could only fail
+        pick = operator.itemgetter(*_column_index(header, names))
         try:
             flat.extend(map(float, chain.from_iterable(
-                read_columns(reader, header, names))))
-        except ValueError:  # flat holds every cell before the refused one
-            row, col = divmod(len(flat), len(names))
+                map(pick, filter(None, reader)))))
+        except (ValueError, IndexError):  # flat holds every row before it
+            row = len(flat) // len(names)
             with open_csv(path) as again:  # to quote the refused cell
                 next(again)
                 cells = next(islice(read_columns(again, header, names), row,
                                     None))
+            for col, cell in enumerate(cells):  # stop at the refused one
+                try:
+                    float(cell)
+                except ValueError:
+                    break
             raise DataError(f"{path} data row {row + 1}: {names[col]} "
                             f"{cells[col]!r} is not a number") from None
     if not flat:

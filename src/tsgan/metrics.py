@@ -34,10 +34,14 @@ class VolatilityProfile:
 
 
 def _check_lengths(a: np.ndarray, b: np.ndarray, minimum: int) -> None:
+    """Equal shapes, at least `minimum` values, and every value finite: a
+    NaN has no rank, and would turn every other metric into NaN."""
     if a.shape != b.shape:
         raise DataError(f"length mismatch: {a.shape} vs {b.shape}")
     if a.size < minimum:
         raise DataError(f"need at least {minimum} values, got {a.size}")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise DataError("metrics need finite values")
 
 
 def pearson(a, b) -> float:
@@ -53,8 +57,12 @@ def pearson(a, b) -> float:
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
-    """Ranks 1..n; tied values receive the mean of their rank range."""
-    order = np.argsort(x, kind="stable")
+    """Ranks 1..n; tied values receive the mean of their rank range.
+
+    Any sort puts a tie group's members side by side, and each member gets
+    the group's mean rank, so NumPy's default sort (unstable, and faster)
+    gives the same bits as a stable one. `x` holds no NaN."""
+    order = np.argsort(x)
     sorted_x = x[order]
     first = np.flatnonzero(np.r_[True, sorted_x[1:] != sorted_x[:-1]])
     last = np.r_[first[1:], x.size] - 1

@@ -434,6 +434,32 @@ class TestCheckpointValidation:
         if case.startswith("rng_state"):
             assert "rng_state" in err
 
+    @pytest.mark.parametrize("key, value, words", [
+        ("adam_g.lr", "not a number", "a finite number > 0"),
+        ("adam_d.beta1", 7.5, "a number in [0, 1)"),
+        ("adam_g.beta2", True, "a number in [0, 1)"),
+        ("adam_d.epsilon", float("inf"), "a finite number > 0"),
+        ("adam_g.t", -5, "an integer >= 0"),
+        ("epoch", "x", "an integer >= 0")])
+    def test_bad_scalar_exit_2(self, price_csv, tmp_path, capsys, checkpoint,
+                               key, value, words):
+        """Each Adam scalar and the epoch is checked at load, as
+        `TrainConfig` checks its fields; the error names the key."""
+        doc = json.loads(checkpoint.read_text())
+        *path, last = key.split(".")
+        entry = doc
+        for part in path:
+            entry = entry[part]
+        entry[last] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        rc = main(["generate", "--checkpoint", str(bad), "--input",
+                   str(price_csv), "--out", str(tmp_path / "g.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err == \
+            f"data error: {bad}: {key} must be {words}, not {value!r}\n"
+        assert not (tmp_path / "g.csv").exists()
+
     def test_not_json_exit_2(self, price_csv, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("this is not json {")
@@ -816,6 +842,19 @@ class TestByteOrderMark:
                       tmp_path / "plot")
 
 
+@pytest.fixture(scope="module")
+def checkpoint(tmp_path_factory):
+    """A checkpoint of a one-epoch `train` on 40 minute bars."""
+    tmp = tmp_path_factory.mktemp("ckpt")
+    src = tmp / "prices.csv"
+    start = datetime(2022, 3, 21, tzinfo=timezone.utc)
+    src.write_text("timestamp,close\n" + "".join(
+        f"{(start + timedelta(minutes=i)).isoformat()},{100 + i % 7}\n"
+        for i in range(40)))
+    assert main(train_args(src, tmp / "run")) == 0
+    return tmp / "run" / "checkpoint.json"
+
+
 class TestUndecodableOrOversizedCsv:
     """A CSV with a byte that is not UTF-8, or with a cell over `csv`'s
     131,072-character field limit, is a data error naming the file, in
@@ -844,17 +883,6 @@ class TestUndecodableOrOversizedCsv:
         "plot_losses": ("losses", ["plot", "--input", "{src}",
                                    "--out", "{tmp}/plots"]),
     }
-
-    @pytest.fixture(scope="class")
-    def checkpoint(self, tmp_path_factory):
-        tmp = tmp_path_factory.mktemp("ckpt")
-        src = tmp / "prices.csv"
-        start = datetime(2022, 3, 21, tzinfo=timezone.utc)
-        src.write_text("timestamp,close\n" + "".join(
-            f"{(start + timedelta(minutes=i)).isoformat()},{100 + i % 7}\n"
-            for i in range(40)))
-        assert main(train_args(src, tmp / "run")) == 0
-        return tmp / "run" / "checkpoint.json"
 
     @pytest.mark.parametrize("fault", sorted(FAULTS))
     @pytest.mark.parametrize("command", list(COMMANDS))
@@ -934,6 +962,33 @@ def test_garbage_checkpoint_or_config_exit_2_or_4(garbage, command):
             rc = main([str(a) for a in argv])
     assert rc in (2, 4), err.getvalue()
     assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+
+
+@given(st.sampled_from([b"", b"timestamp,close\n",
+                        b"timestamp,open,high,low,close\n"]),
+       st.binary(max_size=64),
+       st.sampled_from(["analyze", "train", "generate"]))
+@settings(max_examples=100, deadline=None)
+def test_garbage_price_csv_exit_2_or_4(checkpoint, header, garbage, command):
+    """Bytes given as the price CSV of `analyze`, `train` or `generate`,
+    after a price header or none, make `main` exit 2 or 4 with one line on
+    stderr: a `data error:` for exit 2."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        prices = tmp / "prices.csv"
+        prices.write_bytes(header + garbage)
+        argv = {"analyze": ["analyze", "--input", prices,
+                            "--out", tmp / "v.csv"],
+                "train": train_args(prices, tmp / "run"),
+                "generate": ["generate", "--checkpoint", checkpoint,
+                             "--input", prices, "--out", tmp / "g.csv"]}
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            rc = main([str(a) for a in argv[command]])
+    assert rc in (2, 4), err.getvalue()
+    assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+    assert rc == 4 or err.getvalue().startswith("data error:")
 
 
 class TestSeedEnvFallback:

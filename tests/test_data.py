@@ -480,3 +480,33 @@ class TestMakePairs:
         assert len(pairs) == n - d
         rebuilt = np.concatenate([pairs.conditions[0], pairs.targets])
         np.testing.assert_array_equal(rebuilt, closes)
+
+
+class TestReadFloats:
+    NAMES = ("real_close", "generated_close")
+    HEADER = "timestamp,real_close,generated_close\n"
+
+    @pytest.mark.parametrize("text, message", [
+        # a short row names its first missing cell, not the column that
+        # follows the cells it read
+        (HEADER + "t0,1,2\nt,1.5\nt2,3,4\n",
+         "generated_close '' is not a number"),
+        (HEADER + "t0,1,2\nt\nt2,3,4\n", "real_close '' is not a number"),
+        ("generated_close,timestamp,real_close\n2,t0,1\n1.5,t\n",
+         "real_close '' is not a number"),
+        (HEADER + "t0,1,2\nt,x,y\n", "real_close 'x' is not a number"),
+        (HEADER + "t0,1,2\nt,1,y\n", "generated_close 'y' is not a number"),
+    ])
+    def test_short_or_bad_row_named(self, tmp_path, text, message):
+        path = tmp_path / "g.csv"
+        path.write_text(text)
+        with pytest.raises(DataError) as exc:
+            data.read_floats(path, self.NAMES)
+        assert str(exc.value) == f"{path} data row 2: {message}"
+
+    def test_row_longer_than_header(self, tmp_path):
+        path = tmp_path / "g.csv"
+        path.write_text(self.HEADER + "t0,1.5,2.5,extra,9\nt1,3,4\n")
+        real, fake = data.read_floats(path, self.NAMES)
+        assert real.tolist() == [1.5, 3.0]
+        assert fake.tolist() == [2.5, 4.0]

@@ -119,6 +119,44 @@ class TestOracleEquivalence:
                 scipy.stats.spearmanr(a, b).statistic, rel=1e-12, abs=1e-12)
 
 
+class TestAverageRanks:
+    """`_average_ranks` sorts with NumPy's default, unstable sort; every
+    member of a tie group gets the group's mean rank, so the ranks must be
+    bit-equal to scipy's, whatever order the sort leaves inside a group."""
+
+    @pytest.mark.parametrize("case", [
+        "ingest_cents", "signed_zeros", "sorted", "reversed", "all_equal"])
+    def test_bit_equal_to_scipy(self, case):
+        rng = np.random.default_rng(10)
+        if case == "ingest_cents":  # 200k closes on a cent grid, many ties
+            cents = 10_000 + np.cumsum(rng.integers(-5, 6, 200_000))
+            x = cents / 100.0
+        elif case == "signed_zeros":
+            x = rng.choice([-0.0, 0.0, 1.0], 10_000)
+        elif case == "sorted":
+            x = np.sort(np.round(rng.normal(0.0, 1.0, 10_000), 1))
+        elif case == "reversed":
+            x = np.sort(np.round(rng.normal(0.0, 1.0, 10_000), 1))[::-1]
+        else:
+            x = np.full(10_000, 2.5)
+        np.testing.assert_array_equal(
+            metrics._average_ranks(x),
+            scipy.stats.rankdata(x, method="average"), strict=True)
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("metric", [metrics.pearson, metrics.spearman,
+                                        metrics.mae, metrics.rmse,
+                                        metrics.evaluate])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_refused(self, metric, bad, side):
+        pair = [[1.0, 2.0, 3.0, 4.0], [1.0, 2.5, 2.0, 4.0]]
+        pair[side] = [bad, 1.0, 2.0, bad]
+        with pytest.raises(DataError, match="finite"):
+            metric(*pair)
+
+
 class TestEvaluate:
     def test_perfect_match(self):
         a = np.array([1.0, 2.0, 3.0])
