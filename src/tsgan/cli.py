@@ -273,17 +273,18 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    with data.open_csv(args.input) as reader:
+    raw = data.read_bytes(args.input)  # once: the input may be a pipe
+    with data.open_csv(args.input, raw) as reader:
         header = set(next(reader, []))
     out = Path(args.out)
     if set(_LOSS_COLUMNS) <= header:
-        loss_d, loss_g = data.read_floats(args.input, _LOSS_COLUMNS)
+        loss_d, loss_g = data.read_floats(args.input, _LOSS_COLUMNS, raw)
         out.mkdir(parents=True, exist_ok=True)
         svg = out / "losses.svg"
         svgplot.render_lines([("D", loss_d), ("G", loss_g)],
                              "Training losses", svg)
     elif set(_GENERATED_COLUMNS) <= header:
-        real, fake = data.read_floats(args.input, _GENERATED_COLUMNS)
+        real, fake = data.read_floats(args.input, _GENERATED_COLUMNS, raw)
         out.mkdir(parents=True, exist_ok=True)
         svg = out / "overlay.svg"
         svgplot.render_overlay(real, fake, args.window,

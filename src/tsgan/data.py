@@ -17,8 +17,10 @@ the rows, rejects and columns are those a row-by-row loop gives.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import operator
+import warnings
 from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -122,12 +124,14 @@ def _parse_timestamp(raw: str, fmt: str | None) -> tuple[int, str]:
 
 
 @contextmanager
-def open_csv(path):
-    """A `csv.reader` over the UTF-8 file at `path`; a leading byte-order
-    mark is skipped. While it is open, a byte that is not UTF-8 or a
-    record `csv` refuses (a cell over its field size limit) is a DataError
-    naming the file."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+def open_csv(path, raw: bytes | None = None):
+    """A `csv.reader` over the UTF-8 file at `path`, or over `raw`, that
+    file's bytes, when given; a leading byte-order mark is skipped. While
+    it is open, a byte that is not UTF-8 or a record `csv` refuses (a cell
+    over its field size limit) is a DataError naming the file."""
+    with open(path, newline="", encoding="utf-8-sig") if raw is None else \
+            io.TextIOWrapper(io.BytesIO(raw), newline="",
+                             encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             yield reader
@@ -161,18 +165,92 @@ def read_columns(reader, header: list[str], names):
                map(operator.add, filter(None, reader), repeat(padding)))
 
 
-def read_floats(path, names) -> tuple[np.ndarray, ...]:
+def read_bytes(path) -> bytes:
+    """The bytes of the file at `path`, read once, so a pipe works too."""
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def read_floats(path, names, raw: bytes | None = None) \
+        -> tuple[np.ndarray, ...]:
     """The columns `names` (two or more) of the CSV at `path` as float64
-    arrays, one per name, read through `open_csv`.
+    arrays, one per name. The file is read once, by `read_bytes`, unless
+    the caller passes its bytes as `raw`.
 
     The cells are those `read_columns` gives. A header without all of
     `names`, a file without data rows, or a cell that is empty (a short
     row reads its missing cells as empty), not a number or not finite is a
     DataError. A cell's error names its data row (1 is the first record
     after the header; blank lines are not counted) and its column.
+
+    A file with no `"`, no byte 0x1c-0x1f and no run of more than
+    `csv.field_size_limit()` bytes between `,`, `\r` and `\n` is parsed by
+    NumPy's C reader, which reads each cell with the `float` parser; if it
+    refuses the file or finds no rows or a non-finite value, the `csv`
+    loop reads the same bytes and raises the error. Every other file takes
+    the loop. Both give the same bits.
     """
+    if raw is None:
+        raw = read_bytes(path)
+    rows = _c_reader_rows(raw, names)
+    if rows is None:
+        rows = _loop_rows(path, raw, names)
+    return tuple(rows[:, q].copy() for q in range(len(names)))
+
+
+# bytes that send a file to the csv loop: a quote starts a quoted cell,
+# and NumPy strips 0x1c-0x1f around a cell as space where float refuses them
+_LOOP_BYTES = (b'"', b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+_CUTS = (b",", b"\r", b"\n")
+
+
+def _runs_fit(raw: bytes, limit: int) -> bool:
+    """Whether no run of bytes between `,`, `\r` and `\n` in `raw` is
+    longer than `limit`: a cell that fits is no more characters than that.
+    Each step starts at a run's first byte and moves past the last cut in
+    the next `limit` + 1 bytes, which a run that fits must reach."""
+    start = 0
+    while len(raw) - start > limit:
+        cut = max(raw.rfind(c, start, start + limit + 1) for c in _CUTS)
+        if cut < 0:
+            return False
+        start = cut + 1
+    return True
+
+
+def _c_reader_rows(raw: bytes, names):
+    """The (rows, len(names)) cells of `names` as NumPy's C reader parses
+    them, or None where only the csv loop can tell what the file holds."""
+    if any(b in raw for b in _LOOP_BYTES) \
+            or not _runs_fit(raw, csv.field_size_limit()):
+        return None
+    # with no quote, the header record ends at the first \r or \n
+    end = min([i for i in map(raw.find, (b"\r", b"\n")) if i >= 0],
+              default=len(raw))
+    try:
+        header = next(csv.reader([raw[:end].decode("utf-8-sig")]), [])
+        if not set(names) <= set(header):
+            return None
+        body = io.BytesIO(raw)
+        body.seek(end + 1)
+        with warnings.catch_warnings():  # "input contained no data"
+            warnings.simplefilter("ignore")
+            rows = np.loadtxt(body, delimiter=",", comments=None,
+                              quotechar=None, ndmin=2, dtype=np.float64,
+                              usecols=_column_index(header, names),
+                              encoding="utf-8")
+    # UnicodeDecodeError is a ValueError; csv.Error for a NUL before 3.11
+    except (ValueError, csv.Error):
+        return None
+    return rows if rows.shape[0] and np.isfinite(rows).all() else None
+
+
+def _loop_rows(path, raw: bytes, names) -> np.ndarray:
+    """The cells of `names` in `raw` as (rows, len(names)) float64, one
+    `float` each over the records of `open_csv`; raises every DataError
+    that `read_floats` names."""
     flat = array("d")  # the cells row by row, parsed without a float each
-    with open_csv(path) as reader:
+    with open_csv(path, raw) as reader:
         header = next(reader, [])
         if not set(names) <= set(header):
             raise DataError(f"{path} lacks {'/'.join(names)} columns")
@@ -184,7 +262,7 @@ def read_floats(path, names) -> tuple[np.ndarray, ...]:
                 map(pick, filter(None, reader)))))
         except (ValueError, IndexError):  # flat holds every row before it
             row = len(flat) // len(names)
-            with open_csv(path) as again:  # to quote the refused cell
+            with open_csv(path, raw) as again:  # to quote the refused cell
                 next(again)
                 cells = next(islice(read_columns(again, header, names), row,
                                     None))
@@ -203,7 +281,7 @@ def read_floats(path, names) -> tuple[np.ndarray, ...]:
         r, q = bad[0]
         raise DataError(f"{path} data row {r + 1}: {names[q]} "
                         f"'{rows[r, q]}' is not finite")
-    return tuple(rows[:, q].copy() for q in range(len(names)))
+    return rows
 
 
 def write_csv(path, header, rows) -> None:

@@ -27,6 +27,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import math
 import threading
 from dataclasses import dataclass, field
 from numbers import Integral, Real
@@ -47,6 +48,8 @@ SYNTH_CHUNK = 512
 # NumPy warnings that training and synthesis silence: they check their values
 # and raise NumericError for a non-finite one, which is then the only message
 _QUIET = {"over": "ignore", "invalid": "ignore"}
+# the most float64 values one NumPy array can hold
+_MAX_PARAMETERS = np.iinfo(np.intp).max // 8
 # per OpenBLAS build, its (get, set) thread-count functions, first found wins
 _OPENBLAS_THREADS = (
     ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
@@ -93,14 +96,30 @@ class TrainConfig:
             if width <= 0:
                 raise DataError("TrainConfig.disc_layers widths must be positive")
         self.disc_layers = tuple(int(w) for w in self.disc_layers)
+        # each net's parameters lie in one float64 vector: refuse sizes no
+        # NumPy array holds before anything is allocated
+        for net, fields in ((Generator, "hidden_size and noise_dim"),
+                            (Discriminator, "condition_dim and disc_layers")):
+            if sum(map(math.prod, net.layout_for(self).values())) \
+                    > _MAX_PARAMETERS:
+                raise DataError(f"TrainConfig.{fields} give the "
+                                f"{net.__name__.lower()} more parameters "
+                                f"than a NumPy array can hold")
 
 
 def _check_type(name: str, value, kind) -> None:
-    """Integral or Real, where a bool counts as neither."""
+    """Integral or Real, where a bool counts as neither and a Real must
+    convert to a float64."""
     if isinstance(value, bool) or not isinstance(value, kind):
         raise DataError(f"TrainConfig.{name} must be "
                         f"{'an integer' if kind is Integral else 'a number'}, "
                         f"not {value!r}")
+    if kind is Real:
+        try:
+            float(value)
+        except OverflowError:  # an int too large for a float
+            raise DataError(f"TrainConfig.{name} is too large for a "
+                            f"float64") from None
 
 
 @dataclass

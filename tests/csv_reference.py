@@ -205,3 +205,50 @@ def csv_text(draw, names, required):
         csv.writer(buf, lineterminator=draw(st.sampled_from(["\n", "\r\n"]))) \
             .writerow(cells)
     return buf.getvalue()
+
+
+# cells NumPy's C reader reads as float() reads them, then cells it refuses
+# or reads into a non-finite value, so the csv loop must read the file
+NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.integers(-10**20, 10**20).map(str),
+    st.sampled_from(["1.", "+1", " 2.5 ", "1e5", "-0", ".5", "1E-3", "\t7\t",
+                     " 3", "1e-320"]))
+ODD_NUMBERS = st.sampled_from(
+    ["1_0", "١", "nan", "inf", "-Infinity", "1e999", "", "abc", "0x1p3",
+     "1\x1c", "1\x1f", "1\x00", '"1.5"', "1\r2", "﻿1"])
+NUMERIC_NAMES = ["timestamp", "real_close", "generated_close", "x"]
+
+
+@st.composite
+def numeric_csv_text(draw):
+    """CSV text with a real_close and a generated_close column, most of
+    whose files NumPy's C reader takes: their cells are numbers, joined by
+    "," with no quoting, on \\n or \\r\\n line ends. One file in three has
+    faults: a line in `odds` (2, 5 or 20) is blank, short, long, ended by
+    a lone \\r, or has one odd cell."""
+    header = draw(st.permutations(NUMERIC_NAMES[:draw(st.integers(3, 4))]))
+    header = [*header, *draw(st.lists(st.sampled_from(NUMERIC_NAMES),
+                                      max_size=1))]
+    odds = draw(st.sampled_from([0, 0, 0, 0, 2, 5, 20]))
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    lines = [",".join(header) + ending]
+    for _ in range(draw(st.integers(0, 12))):
+        cells = [draw(NUMBERS) for _ in header]
+        end = ending
+        if odds and draw(st.integers(1, odds)) == 1:
+            fault = draw(st.sampled_from(["blank", "short", "long", "cr",
+                                          "odd"]))
+            if fault == "blank":
+                cells = []
+            elif fault == "short":
+                cells = cells[:draw(st.integers(1, len(cells) - 1))]
+            elif fault == "long":
+                cells += draw(st.lists(NUMBERS, min_size=1, max_size=3))
+            elif fault == "cr":
+                end = "\r"
+            else:
+                cells[draw(st.integers(0, len(cells) - 1))] = \
+                    draw(ODD_NUMBERS)
+        lines.append(",".join(cells) + end)
+    return "".join(lines)

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
@@ -15,8 +16,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import tsgan
-from csv_reference import (BOM, csv_text, dict_read_generated_csv, outcome,
-                           same_bits)
+from csv_reference import (BOM, csv_text, dict_read_generated_csv,
+                           numeric_csv_text, outcome, same_bits)
 from tsgan import data
 from tsgan.cli import main
 
@@ -47,6 +48,34 @@ def run_cli(*argv):
     return subprocess.run([sys.executable, "-m", "tsgan.cli",
                            *map(str, argv)], env=env, capture_output=True,
                           text=True, timeout=120)
+
+
+@contextlib.contextmanager
+def pipe_of(tmp_path, body: bytes):
+    """A FIFO under `tmp_path` from which a writer thread serves `body` to
+    the first reader and nothing to a later one, as a shell's `<(cat
+    file)` pipe does: a command that opens it twice reads it empty the
+    second time, and does not wait."""
+    fifo = tmp_path / "pipe.csv"
+    os.mkfifo(fifo)
+    done = threading.Event()
+
+    def write():
+        with open(fifo, "wb") as fh:
+            fh.write(body)
+        while not done.wait(0.01):
+            try:  # a writer that comes and goes: a waiting reader reads EOF
+                os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+            except OSError:  # no reader is waiting
+                pass
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    try:
+        yield fifo
+    finally:
+        done.set()
+        writer.join(timeout=10)
 
 
 def train_args(price_csv, out_dir, **extra):
@@ -165,6 +194,31 @@ class TestTrain:
         assert "Traceback" not in err
         assert err.startswith("data error:")
         assert "config" in err.lower()
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("config, flags, field", [
+        ({"lr": 10**400}, [], "lr"),
+        ({"clip_norm": 10**400}, [], "clip_norm"),
+        ({}, ["--hidden", str(10**40)], "hidden_size"),
+        ({}, ["--noise-dim", str(10**40)], "noise_dim"),
+        ({"disc_layers": [64, 10**40]}, [], "disc_layers"),
+        ({"condition_dim": 10**40}, [], "condition_dim")],
+        ids=["lr", "clip_norm", "hidden", "noise_dim", "disc_layers",
+             "condition_dim"])
+    def test_too_large_for_numpy_exit_2(self, price_csv, tmp_path, capsys,
+                                        config, flags, field):
+        """A number no float64 holds, or a size that gives a net more
+        parameters than a NumPy array holds, is refused before training
+        allocates anything. Sizes far past any address space only: NumPy
+        refuses those without trying to allocate them."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        rc = main(["train", "--input", str(price_csv), "--out",
+                   str(tmp_path / "run"), "--config", str(cfg), *flags])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("data error: TrainConfig.")
+        assert field in err and err.count("\n") == 1
         assert not (tmp_path / "run").exists()
 
     def test_out_of_memory_exit_2(self, price_csv, tmp_path, capsys,
@@ -572,6 +626,15 @@ class TestEvaluate:
         assert lines[0].startswith(f"data error: {gen_csv}: ")
         assert "real_close" in lines[0]
 
+    def test_header_only_prints_only_the_message(self, tmp_path):
+        # NumPy's reader warns on a file with no rows; that stays silent
+        gen_csv = tmp_path / "g.csv"
+        gen_csv.write_text("timestamp,real_close,generated_close\n\n")
+        proc = run_cli("evaluate", "--input", gen_csv,
+                       "--out", tmp_path / "m.json")
+        assert proc.returncode == 2
+        assert proc.stderr == f"data error: {gen_csv} has no data rows\n"
+
     def test_blank_line_is_not_a_data_row(self, tmp_path, capsys):
         gen_csv = tmp_path / "g.csv"
         gen_csv.write_text("timestamp,real_close,generated_close\n"
@@ -600,6 +663,65 @@ def test_read_generated_csv_matches_dict_reader(text, bom):
         assert got == want
     else:
         assert all(same_bits(a, b) for a, b in zip(got[1], want[1]))
+
+
+@given(numeric_csv_text(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_read_numeric_csv_matches_dict_reader(text, bom):
+    """As above, on files most of which NumPy's C reader takes: numbers,
+    no quotes, and a fault in one file in three."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "generated.csv"
+        path.write_bytes(BOM * bom + text.encode("utf-8"))
+        got = outcome(lambda p: data.read_floats(
+            p, ("real_close", "generated_close")), path)
+        want = outcome(dict_read_generated_csv, path)
+    assert got[0] == want[0]
+    if got[0] == "raised":
+        assert got == want
+    else:
+        assert all(same_bits(a, b) for a, b in zip(got[1], want[1]))
+
+
+GENERATED_BODY = b"timestamp,real_close,generated_close\n" + b"".join(
+    b"t%d,%d.5,%d.25\n" % (i, 100 + i % 7, 101 - i % 5) for i in range(30))
+
+
+class TestPipedInput:
+    """`evaluate` and `plot` read their input once, so a pipe reads as the
+    file it carries does."""
+
+    def test_evaluate_bad_cell_exit_2(self, tmp_path, capsys):
+        body = GENERATED_BODY.replace(b"t4,104.5,97.25", b"t4,104.5,abc")
+        with pipe_of(tmp_path, body) as fifo:
+            rc = main(["evaluate", "--input", str(fifo),
+                       "--out", str(tmp_path / "m.json")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"data error: {fifo} data row 5: generated_close 'abc' "
+            f"is not a number\n")
+
+    @pytest.mark.parametrize("body, argv, written", [
+        (GENERATED_BODY, ["evaluate", "--out", "{out}/m.json"], "m.json"),
+        (GENERATED_BODY, ["plot", "--out", "{out}"], "overlay.svg"),
+        (b"epoch,loss_d,loss_g\n1,0.7,0.69\n2,0.68,0.71\n3,0.66,0.7\n",
+         ["plot", "--out", "{out}"], "losses.svg")],
+        ids=["evaluate", "plot-overlay", "plot-losses"])
+    def test_pipe_writes_what_the_file_does(self, tmp_path, body, argv,
+                                            written):
+        src = tmp_path / "in.csv"
+        src.write_bytes(body)
+        outputs = []
+        for name in ("file", "pipe"):
+            out = tmp_path / name
+            out.mkdir()
+            with contextlib.ExitStack() as stack:
+                given_input = src if name == "file" else \
+                    stack.enter_context(pipe_of(tmp_path, body))
+                assert main([argv[0], "--input", str(given_input),
+                             *(a.format(out=out) for a in argv[1:])]) == 0
+            outputs.append((out / written).read_bytes())
+        assert outputs[0] == outputs[1]
 
 
 class TestPlot:
@@ -866,6 +988,9 @@ class TestUndecodableOrOversizedCsv:
                           b"2022-03-21T00:01:00Z,1,2,1,",
                 "generated": b"timestamp,real_close,generated_close\n"
                              b"t0,1.5,1.25\nt1,1,",
+                # the fault in the timestamp column, which is not read
+                "generated_stamp": b"real_close,generated_close,timestamp\n"
+                                   b"1.5,1.25,t0\n1,1.5,",
                 "losses": b"epoch,loss_d,loss_g\n1,0.69,0.69\n2,0.69,"}
     FAULTS = {"not_utf8": b"1.\xff\xfe5",
               "oversized_cell": b"1" * 131_073}
@@ -882,6 +1007,11 @@ class TestUndecodableOrOversizedCsv:
                                "--out", "{tmp}/plots"]),
         "plot_losses": ("losses", ["plot", "--input", "{src}",
                                    "--out", "{tmp}/plots"]),
+        "evaluate_stamp": ("generated_stamp",
+                           ["evaluate", "--input", "{src}",
+                            "--out", "{tmp}/m.json"]),
+        "plot_stamp": ("generated_stamp", ["plot", "--input", "{src}",
+                                           "--out", "{tmp}/plots"]),
     }
 
     @pytest.mark.parametrize("fault", sorted(FAULTS))

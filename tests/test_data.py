@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from csv_reference import (BOM, EPOCH_STAMPS, NEAR_EPOCH_STAMPS,
                            NEAR_RFC3339_STAMPS, RFC3339_STAMPS, csv_text,
-                           dict_load_csv, outcome, same_bits)
+                           dict_load_csv, dict_read_generated_csv, outcome,
+                           same_bits)
 from tsgan import data
 from tsgan.errors import DataError
 
@@ -510,3 +511,61 @@ class TestReadFloats:
         real, fake = data.read_floats(path, self.NAMES)
         assert real.tolist() == [1.5, 3.0]
         assert fake.tolist() == [2.5, 4.0]
+
+    @pytest.mark.parametrize("body, c_reader", [
+        ("t0,1.5,2.5\nt1,3,4\n", True),
+        ("t0,1.5,2.5\r\n\r\nt1,3,4", True),
+        ("t0,1.5,2.5,extra,9\nt1,3,4\n", True),  # a long row
+        ("t0,1_0,2.5\nt1,3,4\n", False),  # float reads 1_0, NumPy does not
+        ("t0,\u0661,2.5\nt1,3,4\n", False),  # an Arabic-Indic digit
+        ('t0,"1.5",2.5\nt1,3,4\n', False),  # a quoted cell
+        ('t0,1.5,2.5\n"t,1",3,4\n', False),  # a comma in a quoted cell
+        ("t0,1.5,2.5\rt1,3,4\r", False),  # lone \r line ends
+        ("t0,1.5,2.5\x1c\nt1,3,4\n", False),  # float refuses 0x1c
+        ("t0,1.5,nan\nt1,3,4\n", False),  # not finite
+        ("t0,1.5,abc\nt1,3,4\n", False),
+        ("", False),  # a header and no rows
+    ], ids=["plain", "crlf-blank", "long-row", "underscore", "arabic-digit",
+            "quoted", "quoted-comma", "lone-cr", "0x1c", "nan", "abc",
+            "header-only"])
+    def test_c_reader_or_loop(self, tmp_path, body, c_reader):
+        """A file NumPy's C reader takes reads as the csv loop reads it,
+        and a file it leaves to the loop still reads as DictReader read
+        it: the same bits or the same error."""
+        path = tmp_path / "g.csv"
+        path.write_text(self.HEADER + body, newline="")
+        raw = path.read_bytes()
+        assert (data._c_reader_rows(raw, self.NAMES) is not None) == c_reader
+        got = outcome(lambda p: data.read_floats(p, self.NAMES), path)
+        want = outcome(dict_read_generated_csv, path)
+        assert got[0] == want[0]
+        if got[0] == "raised":
+            assert got == want
+        else:
+            assert all(same_bits(a, b) for a, b in zip(got[1], want[1]))
+        loop = outcome(lambda p: data._loop_rows(p, raw, self.NAMES), path)
+        if c_reader:
+            assert same_bits(data._c_reader_rows(raw, self.NAMES), loop[1])
+
+    def test_oversized_unused_cell_is_refused(self, tmp_path):
+        """NumPy's reader would skip a cell over csv's field size limit in
+        a column it does not read; the file is refused as csv refuses it."""
+        path = tmp_path / "g.csv"
+        path.write_text(self.HEADER + "t" * 131_073 + ",1.5,2.5\n")
+        assert data._c_reader_rows(path.read_bytes(), self.NAMES) is None
+        with pytest.raises(DataError) as exc:
+            data.read_floats(path, self.NAMES)
+        assert str(exc.value) == f"{path} line 2: field larger than field " \
+                                 f"limit (131072)"
+
+    @pytest.mark.parametrize("limit", [3, 4, 5, 10])
+    def test_runs_fit_is_the_longest_run(self, limit):
+        """`_runs_fit` agrees with the longest run between cuts, counted
+        one byte at a time."""
+        rng = np.random.default_rng(limit)
+        for _ in range(200):
+            raw = bytes(rng.choice(list(b"ab,\r\n"), rng.integers(0, 40),
+                                   p=[0.4, 0.4, 0.1, 0.05, 0.05]))
+            longest = max(map(len, raw.replace(b"\r", b",")
+                              .replace(b"\n", b",").split(b",")))
+            assert data._runs_fit(raw, limit) == (longest <= limit), raw
