@@ -4,14 +4,22 @@ Everything here is a pure function over immutable inputs: load once, clean,
 then slice normalized closes into (condition window, next value) pairs. A
 series is columnar: one array per CSV column, rows ascending in time.
 
-`load_csv` parses LOAD_BLOCK records at a time, a column at a time. The
-timestamp format is detected as `_parse_timestamp` detects it, from the
-first stamp that parses. After that, two kinds of stamp take a strict
-vectorized parse: exactly `YYYY-MM-DDTHH:MM:SSZ` (ASCII digits, a real
-date, hh <= 23, mm and ss <= 59) in an RFC 3339 file, and a whole number
-of seconds within years 1-9999 in an epoch file. Every other stamp goes
-through `_parse_timestamp` on its own. Either way a cell reads the same:
-the rows, rejects and columns are those a row-by-row loop gives.
+`load_csv` reads the file's bytes once and parses them a block at a time,
+a column at a time. A `_plain` file (UTF-8 with no quote, NUL, byte
+0x1c-0x1f, `\r` outside `\r\n` or cell over csv's size limit) takes the
+byte path: NumPy finds the lines and commas of BYTE_BLOCK bytes, and one
+`np.loadtxt` call parses the number cells of the lines that have the
+header's cell count and whose number cells pass a byte screen. Every other
+line, and every record of every other file (LOAD_BLOCK records of
+`open_csv` at a time), takes the per-cell rules: `_parse_timestamp`, one
+`float` per price cell and `_price_error`. The timestamp format is
+detected as `_parse_timestamp` detects it, from the first stamp that
+parses. After that, two kinds of stamp take a strict vectorized parse:
+exactly `YYYY-MM-DDTHH:MM:SSZ` (ASCII digits, a real date, hh <= 23, mm
+and ss <= 59) in an RFC 3339 file, and a whole number of seconds within
+years 1-9999 in an epoch file. Every other stamp goes through
+`_parse_timestamp` on its own. Either way a cell reads the same: the rows,
+rejects and columns are those a row-by-row loop gives.
 """
 
 from __future__ import annotations
@@ -183,12 +191,10 @@ def read_floats(path, names, raw: bytes | None = None) \
     DataError. A cell's error names its data row (1 is the first record
     after the header; blank lines are not counted) and its column.
 
-    A file with no `"`, no byte 0x1c-0x1f and no run of more than
-    `csv.field_size_limit()` bytes between `,`, `\r` and `\n` is parsed by
-    NumPy's C reader, which reads each cell with the `float` parser; if it
-    refuses the file or finds no rows or a non-finite value, the `csv`
-    loop reads the same bytes and raises the error. Every other file takes
-    the loop. Both give the same bits.
+    A `_plain` file is parsed by NumPy's C reader, which reads each cell
+    with the `float` parser; if it refuses the file or finds no rows or a
+    non-finite value, the `csv` loop reads the same bytes and raises the
+    error. Every other file takes the loop. Both give the same bits.
     """
     if raw is None:
         raw = read_bytes(path)
@@ -198,9 +204,10 @@ def read_floats(path, names, raw: bytes | None = None) \
     return tuple(rows[:, q].copy() for q in range(len(names)))
 
 
-# bytes that send a file to the csv loop: a quote starts a quoted cell,
-# and NumPy strips 0x1c-0x1f around a cell as space where float refuses them
-_LOOP_BYTES = (b'"', b"\x1c", b"\x1d", b"\x1e", b"\x1f")
+# bytes that keep a file from NumPy's readers: a quote starts a quoted
+# cell, NUL is a character to csv, and NumPy strips 0x1c-0x1f around a
+# cell as space where float refuses them
+_LOOP_BYTES = (b'"', b"\x00", b"\x1c", b"\x1d", b"\x1e", b"\x1f")
 _CUTS = (b",", b"\r", b"\n")
 
 
@@ -218,31 +225,60 @@ def _runs_fit(raw: bytes, limit: int) -> bool:
     return True
 
 
+def _plain(raw: bytes) -> bool:
+    """Whether `raw` is CSV whose records are its lines and whose cells
+    lie between its commas, as `csv` reads them: UTF-8 with none of
+    `_LOOP_BYTES`, no `\r` but in `\r\n`, and no cell over
+    `csv.field_size_limit()` (which `csv` refuses)."""
+    if any(b in raw for b in _LOOP_BYTES) \
+            or b"\r" in raw and raw.count(b"\r") != raw.count(b"\r\n") \
+            or not _runs_fit(raw, csv.field_size_limit()):
+        return False
+    if raw.isascii():
+        return True
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError:
+        return False
+    return True
+
+
+def _header(raw: bytes) -> tuple[list[str], int]:
+    """The header record of `_plain` bytes, and the offset of the line
+    after it."""
+    end = raw.find(b"\n")
+    end = len(raw) if end < 0 else end
+    line = raw[:end].removesuffix(b"\r").decode("utf-8-sig")
+    return next(csv.reader([line]), []), end + 1
+
+
+def _loadtxt(body, usecols) -> np.ndarray | None:
+    """The cells `usecols` of the `_plain` lines in the binary file `body`
+    as (rows, len(usecols)) float64, as `np.loadtxt` parses them, or None
+    where it refuses a line."""
+    try:
+        with warnings.catch_warnings():  # "input contained no data"
+            warnings.simplefilter("ignore")
+            return np.loadtxt(body, delimiter=",", comments=None,
+                              quotechar=None, ndmin=2, dtype=np.float64,
+                              usecols=usecols, encoding="utf-8")
+    except ValueError:
+        return None
+
+
 def _c_reader_rows(raw: bytes, names):
     """The (rows, len(names)) cells of `names` as NumPy's C reader parses
     them, or None where only the csv loop can tell what the file holds."""
-    if any(b in raw for b in _LOOP_BYTES) \
-            or not _runs_fit(raw, csv.field_size_limit()):
+    if not _plain(raw):
         return None
-    # with no quote, the header record ends at the first \r or \n
-    end = min([i for i in map(raw.find, (b"\r", b"\n")) if i >= 0],
-              default=len(raw))
-    try:
-        header = next(csv.reader([raw[:end].decode("utf-8-sig")]), [])
-        if not set(names) <= set(header):
-            return None
-        body = io.BytesIO(raw)
-        body.seek(end + 1)
-        with warnings.catch_warnings():  # "input contained no data"
-            warnings.simplefilter("ignore")
-            rows = np.loadtxt(body, delimiter=",", comments=None,
-                              quotechar=None, ndmin=2, dtype=np.float64,
-                              usecols=_column_index(header, names),
-                              encoding="utf-8")
-    # UnicodeDecodeError is a ValueError; csv.Error for a NUL before 3.11
-    except (ValueError, csv.Error):
+    header, start = _header(raw)
+    if not set(names) <= set(header):
         return None
-    return rows if rows.shape[0] and np.isfinite(rows).all() else None
+    body = io.BytesIO(raw)
+    body.seek(start)
+    rows = _loadtxt(body, _column_index(header, names))
+    return rows if rows is not None and rows.shape[0] \
+        and np.isfinite(rows).all() else None
 
 
 def _loop_rows(path, raw: bytes, names) -> np.ndarray:
@@ -309,10 +345,17 @@ def _price_error(cells: tuple[str, str, str, str]) -> str:
     raise AssertionError("_price_error called on a row with valid prices")
 
 
-# records load_csv parses at a time: a block is split into columns, and
-# each column is parsed by one C-level call. Larger blocks parse no faster
-# and raise the peak memory, since a block's cells are held at once
+# records the csv path of load_csv parses at a time: a block is split
+# into columns, and each column is parsed by one C-level call. Larger
+# blocks parse no faster and raise the peak memory, since a block's cells
+# are held at once
 LOAD_BLOCK = 512
+# bytes of a plain file's body the byte path of load_csv takes at a time
+# (whole lines, at least one): about 11,000 lines of a minute file, one
+# np.loadtxt call. Its index arrays are a few times its size, so the peak
+# memory does not grow with the file; blocks of 2,800 lines were ~15 %
+# slower on the 200k-row minute file
+BYTE_BLOCK = 1 << 19
 
 
 def _floats(cells) -> np.ndarray:
@@ -338,21 +381,18 @@ _RFC3339_TENS = [0, 2, 5, 8, 11, 14, 17]
 _RFC3339_ONES = [1, 3, 6, 9, 12, 15, 18]
 
 
-def _strict_rfc3339(cells) -> tuple[np.ndarray, np.ndarray]:
-    """(microseconds since the epoch, mask of the cells parsed) for the
-    `cells` that are exactly YYYY-MM-DDTHH:MM:SSZ in ASCII digits and name
-    a real UTC second of years 1-9999; each such cell reads as
-    `_parse_timestamp(cell, "rfc3339")` does. Other cells are left out of
-    the mask, with an arbitrary value."""
-    fit = np.fromiter(map(len, cells), dtype=np.intp, count=len(cells)) == 20
-    # "replace" keeps one byte a character: a non-ASCII cell fails the
-    # bounds. One row per byte position, so each step runs along the cells
-    raw = np.frombuffer("".join(compress(cells, fit)).encode("ascii", "replace"),
-                        dtype=np.uint8).reshape(-1, 20).T.copy()
-    ok = ~np.any(raw - _RFC3339_LOW > _RFC3339_SPAN, axis=0)  # uint8 wraps
-    raw -= np.uint8(48)
+def _strict_rfc3339(stamps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(microseconds since the epoch, mask of the stamps parsed) for the
+    columns of `stamps`, a (20, n) uint8 matrix of n 20-byte stamps, that
+    are exactly YYYY-MM-DDTHH:MM:SSZ in ASCII digits and name a real UTC
+    second of years 1-9999; each such stamp reads as `_parse_timestamp(
+    stamp, "rfc3339")` does. Other stamps are left out of the mask, with
+    an arbitrary value. A row per byte position, so each step runs along
+    the stamps."""
+    ok = ~np.any(stamps - _RFC3339_LOW > _RFC3339_SPAN, axis=0)  # uint8 wraps
+    digits = stamps - np.uint8(48)
     century, year, month, day, hour, minute, second = \
-        (10 * raw[_RFC3339_TENS] + raw[_RFC3339_ONES]).astype(np.int64)
+        (10 * digits[_RFC3339_TENS] + digits[_RFC3339_ONES]).astype(np.int64)
     year += 100 * century
     # the first day of this month and of the next, in days since 1970-01-01
     months = (year - 1970) * 12 + month - 1
@@ -361,11 +401,7 @@ def _strict_rfc3339(cells) -> tuple[np.ndarray, np.ndarray]:
     ok &= ((year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)
            & (day <= starts[1] - starts[0]) & (hour <= 23))
     seconds = (((starts[0] + day - 1) * 24 + hour) * 60 + minute) * 60 + second
-    micros = np.zeros(len(cells), dtype=np.int64)
-    micros[fit] = seconds * 1_000_000
-    mask = np.zeros(len(cells), dtype=bool)
-    mask[fit] = ok
-    return micros, mask
+    return seconds * 1_000_000, ok
 
 
 # whole seconds that datetime.fromtimestamp turns into years 1-9999
@@ -373,17 +409,29 @@ _EPOCH_SPAN = [(bound.replace(tzinfo=timezone.utc) - _EPOCH) // timedelta(second
                for bound in (datetime.min, datetime.max)]
 
 
-def _strict_epoch(cells) -> tuple[np.ndarray, np.ndarray]:
-    """(microseconds since the epoch, mask of the cells parsed) for the
-    `cells` whose float is a whole number of seconds within years 1-9999;
-    each such cell reads as `_parse_timestamp(cell, "epoch")` does. Other
-    cells are left out of the mask, with an arbitrary value."""
-    x = _floats(cells)
+def _strict_epoch(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(microseconds since the epoch, mask of the stamps parsed) for the
+    float values `x` of epoch stamps that are a whole number of seconds
+    within years 1-9999; each such stamp reads as `_parse_timestamp(stamp,
+    "epoch")` does. Other stamps are left out of the mask, with an
+    arbitrary value."""
     ok = (x >= _EPOCH_SPAN[0]) & (x <= _EPOCH_SPAN[1]) & (np.trunc(x) == x)
     return np.where(ok, x, 0.0).astype(np.int64) * 1_000_000, ok
 
 
-_STRICT_PARSE = {"rfc3339": _strict_rfc3339, "epoch": _strict_epoch}
+def _strict_cells(cells, fmt: str) -> tuple[np.ndarray, np.ndarray]:
+    """The strict parse of format `fmt` over the str `cells`, as
+    (microseconds, mask of the cells parsed)."""
+    if fmt == "epoch":
+        return _strict_epoch(_floats(cells))
+    fit = np.fromiter(map(len, cells), dtype=np.intp, count=len(cells)) == 20
+    # "replace" keeps one byte a character: a non-ASCII cell fails the bounds
+    stamps = np.frombuffer("".join(compress(cells, fit)).encode("ascii", "replace"),
+                           dtype=np.uint8).reshape(-1, 20).T.copy()
+    micros = np.zeros(len(cells), dtype=np.int64)
+    mask = np.zeros(len(cells), dtype=bool)
+    micros[fit], mask[fit] = _strict_rfc3339(stamps)
+    return micros, mask
 
 
 def _parse_stamps(cells, fmt: str | None):
@@ -408,14 +456,199 @@ def _parse_stamps(cells, fmt: str | None):
             reasons[first] = str(exc)
         first += 1
     if first < n:
-        micros[first:], parsed[first:] = _STRICT_PARSE[fmt](cells[first:])
-        for i in (np.flatnonzero(~parsed[first:]) + first).tolist():
-            try:
-                micros[i] = _parse_timestamp(cells[i], fmt)[0]
-                parsed[i] = True
-            except (ValueError, OverflowError) as exc:
-                reasons[i] = str(exc)
+        micros[first:], parsed[first:] = _strict_cells(cells[first:], fmt)
+        _parse_left(cells, range(first, n), fmt, micros, parsed, reasons)
     return micros, parsed, reasons, fmt
+
+
+def _parse_left(cells, rows, fmt: str, micros, parsed, reasons) -> None:
+    """`_parse_timestamp(cells[i], fmt)` for each of `rows` that `parsed`
+    does not mark (the strict parse left it): its value goes into
+    `micros` and `parsed`, or its reason into `reasons`."""
+    for i in compress(rows, ~parsed[rows]):
+        try:
+            micros[i] = _parse_timestamp(cells[i], fmt)[0]
+            parsed[i] = True
+        except (ValueError, OverflowError) as exc:
+            reasons[i] = str(exc)
+
+
+def _parse_records(records, fmt: str | None):
+    """The per-cell rules over `records`, (stamp, *prices) cell tuples:
+    `_parse_stamps`, one `float` per price cell and `_price_error`.
+
+    Returns ((microseconds, mask of the rows kept, the prices as one row
+    per price column, {index: reason} for each row not kept), format)."""
+    cells, *columns = zip(*records)
+    micros, keep, reasons, fmt = _parse_stamps(cells, fmt)
+    values = _floats(chain.from_iterable(columns))
+    values = values.reshape(len(columns), len(cells))
+    keep &= np.all(np.isfinite(values), axis=0)
+    for i in np.flatnonzero(~keep).tolist():
+        if i not in reasons:  # a stamp's reason comes before a price's
+            reasons[i] = _price_error(records[i][1:])
+    return (micros, keep, values, reasons), fmt
+
+
+def _price_names(path, header: list[str]) -> tuple[str, ...]:
+    """The price columns load_csv reads from a file with `header`: all four,
+    or only the close when one of open/high/low is missing (each of them
+    is then the close). A DataError when timestamp or close is missing."""
+    for col in ("timestamp", "close"):
+        if col not in header:
+            raise DataError(f"missing required column {col!r} in {path}")
+    return _PRICE_COLUMNS if {"open", "high", "low"} <= set(header) \
+        else ("close",)
+
+
+def _record_blocks(path, raw: bytes):
+    """The csv path of load_csv: its price names, then the parse of each
+    LOAD_BLOCK records of `open_csv` over `raw`."""
+    fmt = None
+    with open_csv(path, raw) as reader:
+        header = next(reader, [])
+        names = _price_names(path, header)
+        yield names
+        records = read_columns(reader, header, ("timestamp", *names))
+        while block := list(islice(records, LOAD_BLOCK)):
+            parsed, fmt = _parse_records(block, fmt)
+            yield parsed
+
+
+# the bytes a number cell may start and end with to go to np.loadtxt: no
+# space or other byte float and NumPy could strip differently
+_FIRST_BYTE = np.isin(np.arange(256), list(b"0123456789+-."))
+_LAST_BYTE = np.isin(np.arange(256), list(b"0123456789."))
+
+
+def _byte_blocks(path, raw: bytes):
+    """The byte path of load_csv over `_plain` bytes: its price names, then
+    the parse of each BYTE_BLOCK bytes of whole lines, as `_parse_lines`."""
+    header, start = _header(raw)
+    names = _price_names(path, header)
+    yield names
+    index = _column_index(header, ("timestamp", *names))
+    buf = np.frombuffer(raw, dtype=np.uint8)
+    fmt = None
+    while start < len(raw):
+        end = raw.rfind(b"\n", start, start + BYTE_BLOCK) + 1 \
+            or raw.find(b"\n", start) + 1 or len(raw)
+        parsed, fmt = _parse_lines(buf[start:end], raw[start:end], index,
+                                   len(header), fmt)
+        if parsed[0].size:
+            yield parsed
+        start = end
+
+
+def _parse_lines(seg: np.ndarray, text: bytes, index, width: int,
+                 fmt: str | None):
+    """Parse whole lines of a `_plain` file's body, given as uint8 `seg`
+    and as bytes `text`, into what `_parse_records` gives for their
+    records (the non-blank lines): `index` are the columns of the stamp
+    and the prices and `width` the header's cell count.
+
+    NumPy finds the lines and commas. A line of `width` cells whose number
+    cells (the prices, and the stamp in an epoch file) pass a byte screen
+    is "cut": its number cells go, with the other cut lines, to one
+    `np.loadtxt` call, and an RFC 3339 stamp of 20 bytes to
+    `_strict_rfc3339`; a stamp the strict parse leaves goes to
+    `_parse_timestamp`. Every other line (short, long, screened out, or
+    at or before the first parseable stamp of the file), and every line
+    when `np.loadtxt` refuses one, takes `_parse_records` on its cells.
+    """
+    stops = np.flatnonzero(seg == 10) + 1  # each line's end, past its \n
+    if not stops.size or stops[-1] != len(seg):  # the file's last line
+        stops = np.append(stops, len(seg))
+    starts = np.r_[0, stops[:-1]]
+    ends = stops - (seg.take(stops - 1) == 10)  # the cells' end
+    ends -= (ends > starts) & (seg.take(ends - 1, mode="clip") == 13)
+    lines = np.flatnonzero(ends > starts)  # a blank line is no record
+    first, last = starts[lines], ends[lines]
+    n = len(lines)
+
+    pad = [""] * (max(index) + 1)
+    pick = operator.itemgetter(*index)
+
+    def record(r):  # the cells of record r as read_columns picks them
+        return pick(text[first[r]:last[r]].decode("utf-8").split(",") + pad)
+
+    fmt_in, head = fmt, 0
+    while fmt is None and head < n:  # records up to the first parseable
+        try:                         # stamp take the per-cell rules
+            fmt = _parse_timestamp(record(head)[0], None)[1]
+        except (ValueError, OverflowError):
+            pass
+        head += 1
+
+    commas = np.flatnonzero(seg == 44)
+    comma = np.searchsorted(commas, first)  # each record's first comma
+    full = np.flatnonzero(np.searchsorted(commas, last) - comma == width - 1)
+    full = full[full >= head]
+
+    def cells(c):  # where column c of the full records starts and ends
+        lo = first[full] if c == 0 else commas[comma[full] + c - 1] + 1
+        hi = last[full] if c == width - 1 else commas[comma[full] + c]
+        return lo, hi
+
+    numbers = list(index) if fmt == "epoch" else list(index[1:])
+    screened = np.ones(len(full), dtype=bool)
+    for c in numbers:
+        lo, hi = cells(c)
+        screened &= (hi > lo) & _FIRST_BYTE[seg.take(lo, mode="clip")] \
+            & _LAST_BYTE[seg.take(hi - 1, mode="clip")]
+    cut = full[screened]
+
+    values = None
+    if cut.size:
+        # the cut lines, as the runs of lines between the others
+        take = np.zeros(len(starts) + 1, dtype=np.int8)
+        take[lines[cut]] = 1
+        edge = np.diff(take, prepend=0)  # 1 starts a run, -1 is past one
+        runs = zip(starts[edge[:-1] == 1].tolist(),
+                   stops[edge[1:] == -1].tolist())
+        values = _loadtxt(io.BytesIO(b"".join(text[a:b] for a, b in runs)),
+                          numbers)
+        if values is None:
+            cut = cut[:0]
+
+    micros = np.zeros(n, dtype=np.int64)
+    keep = np.zeros(n, dtype=bool)
+    prices = np.empty((len(index) - 1, n))
+    reasons: dict[int, str] = {}
+    if values is not None:
+        prices[:, cut] = values[:, -prices.shape[0]:].T
+        lo, hi = (bound[screened] for bound in cells(index[0]))
+        if fmt == "epoch":
+            micros[cut], keep[cut] = _strict_epoch(values[:, 0])
+        else:
+            fit = hi - lo == 20
+            micros[cut[fit]], keep[cut[fit]] = _strict_rfc3339(
+                seg[lo[fit] + np.arange(20)[:, None]])
+        left = ~keep[cut]  # stamps the strict parse left
+        stamps = {r: text[a:b].decode("utf-8") for r, a, b in
+                  zip(cut[left].tolist(), lo[left].tolist(), hi[left].tolist())}
+        _parse_left(stamps, list(stamps), fmt, micros, keep, reasons)
+        finite = np.all(np.isfinite(values[:, -prices.shape[0]:]), axis=1)
+        for r in cut[keep[cut] & ~finite].tolist():
+            reasons[r] = _price_error(record(r)[1:])
+        keep[cut] &= finite
+
+    odd = np.ones(n, dtype=bool)
+    odd[cut] = False
+    odd = np.flatnonzero(odd)
+    if odd.size:
+        (m, k, v, why), fmt = _parse_records([record(r) for r in odd.tolist()],
+                                             fmt_in)
+        micros[odd], keep[odd], prices[:, odd] = m, k, v
+        reasons.update((odd[i].item(), reason) for i, reason in why.items())
+    return (micros, keep, prices, reasons), fmt
+
+
+def _blocks(path):
+    """The blocks of load_csv over the file at `path`, read once: only
+    they hold its bytes, so those are freed when the last block is read."""
+    raw = read_bytes(path)
+    return (_byte_blocks if _plain(raw) else _record_blocks)(path, raw)
 
 
 def load_csv(path, asset_id: str = "") -> LoadResult:
@@ -425,37 +658,29 @@ def load_csv(path, asset_id: str = "") -> LoadResult:
     Only timestamp and close are required; without all of open/high/low
     they are set to the close. Rows that fail to parse are collected into
     the rejects report, never dropped silently: a row's timestamp reason
-    comes before its price reason. The file is read through `open_csv`,
-    LOAD_BLOCK records at a time.
+    comes before its price reason.
+
+    The file is read once (`read_bytes`, so a pipe works). A `_plain` file
+    takes the byte path (`_byte_blocks`): NumPy cuts its lines and cells
+    and `np.loadtxt` reads the number cells, and only odd lines take the
+    per-cell rules. Every other file takes the csv path
+    (`_record_blocks`), `open_csv` over the same bytes. Both give the
+    rows, rejects and column bits of one `csv.DictReader` dict per row.
     """
+    blocks = _blocks(path)
+    names = next(blocks)
     rejects: list[Reject] = []
-    ts_format: str | None = None
     n_rows = kept = 0
-    with open_csv(path) as reader:
-        header = next(reader, [])
-        for col in ("timestamp", "close"):
-            if col not in header:
-                raise DataError(f"missing required column {col!r} in {path}")
-        # without all of open/high/low, each of them is the close
-        names = _PRICE_COLUMNS if {"open", "high", "low"} <= set(header) \
-            else ("close",)
-        stamps = np.empty(0, dtype=np.int64)
-        prices = [np.empty(0) for _ in names]
-        records = read_columns(reader, header, ("timestamp", *names))
-        while block := list(islice(records, LOAD_BLOCK)):
-            cells, *columns = zip(*block)
-            micros, keep, reasons, ts_format = _parse_stamps(cells, ts_format)
-            values = _floats(chain.from_iterable(columns))
-            values = values.reshape(len(names), len(cells))
-            keep &= np.all(np.isfinite(values), axis=0)
-            for i in np.flatnonzero(~keep).tolist():
-                reason = reasons.get(i) or _price_error(block[i][1:])
-                rejects.append(Reject(n_rows + i + 2, reason))  # 1 is the header
-            stamps = _put(stamps, kept, micros[keep])
-            for j, column in enumerate(values):
-                prices[j] = _put(prices[j], kept, column[keep])
-            n_rows += len(cells)
-            kept += int(np.count_nonzero(keep))
+    stamps = np.empty(0, dtype=np.int64)
+    prices = [np.empty(0) for _ in names]
+    for micros, keep, values, reasons in blocks:
+        rejects += [Reject(n_rows + i + 2, reasons[i])  # 1 is the header
+                    for i in np.flatnonzero(~keep).tolist()]
+        stamps = _put(stamps, kept, micros[keep])
+        for j, column in enumerate(values):
+            prices[j] = _put(prices[j], kept, column[keep])
+        n_rows += len(keep)
+        kept += int(np.count_nonzero(keep))
 
     prices = [buffer[:kept] for buffer in prices]
     close, open_, high, low = prices if len(prices) == 4 else prices * 4

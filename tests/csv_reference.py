@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import operator
 
 import numpy as np
 from hypothesis import strategies as st
@@ -252,3 +253,63 @@ def numeric_csv_text(draw):
                     draw(ODD_NUMBERS)
         lines.append(",".join(cells) + end)
     return "".join(lines)
+
+
+# cells with no quote or line break that make a line take the per-cell
+# rules of load_csv's byte path, or send its block back to them
+PLAIN_ODD_CELLS = [cell for cell in PRICES + BAD_PRICES
+                   if not set(cell) & set('"\r\n')] + [
+    "-", ".", "1-2", "1..2", "1e-320", "9007199254740993"]
+PLAIN_PRICES = st.one_of(
+    st.integers(0, 10**7).map(lambda c: f"{c // 100}.{c % 100:02d}"),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr))
+WHOLE_SECONDS = st.integers(-62135596800, 253402300799)
+
+
+@st.composite
+def plain_price_csv_text(draw):
+    """Price CSV text most of whose files load_csv reads on its byte path:
+    no quote, cells joined by "," on \\n or \\r\\n line ends. The header
+    holds timestamp and close, and each of open, high, low and volume with
+    odds 3 in 4, at times one of them twice, in any order. Stamps are of
+    one style a file: whole-second RFC 3339 or epoch stamps, and at times
+    (in one file in two, one cell in five) any of that style's stamps.
+    Prices are cents or reprs. In one file in two, a line in `odds` (3,
+    10 or 40) is blank, short, long, or has an odd cell."""
+    header = ["timestamp", "close"] + [
+        name for name in ("open", "high", "low", "volume")
+        if draw(st.integers(0, 3))]
+    header += draw(st.lists(st.sampled_from(header), max_size=1))
+    header = draw(st.permutations(header))
+    if draw(st.booleans()):
+        stamps = WHOLE_SECONDS.map(str)
+        near = EPOCH_STAMPS + NEAR_EPOCH_STAMPS
+    else:
+        stamps = st.datetimes().map(
+            lambda dt: dt.isoformat(timespec="seconds") + "Z")
+        near = RFC3339_STAMPS + NEAR_RFC3339_STAMPS
+    if draw(st.booleans()):
+        stamps = st.one_of(stamps, stamps, stamps, stamps,
+                           st.sampled_from(near))
+    odds = draw(st.sampled_from([0, 3, 10, 40]))
+    lines = [",".join(header)]
+    for _ in range(draw(st.integers(0, 30))):
+        cells = [draw(stamps if name == "timestamp" else PLAIN_PRICES)
+                 for name in header]
+        if odds and draw(st.integers(1, odds)) == 1:
+            fault = draw(st.sampled_from(["blank", "short", "long", "odd"]))
+            if fault == "blank":
+                cells = []
+            elif fault == "short":
+                cells = cells[:draw(st.integers(1, len(cells) - 1))]
+            elif fault == "long":
+                cells += draw(st.lists(PLAIN_PRICES, min_size=1, max_size=2))
+            else:
+                cells[draw(st.integers(0, len(cells) - 1))] = \
+                    draw(st.sampled_from(PLAIN_ODD_CELLS))
+        lines.append(",".join(cells))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n"]),
+                         min_size=len(lines), max_size=len(lines)))
+    if draw(st.booleans()):  # no line end after the last line
+        ends[-1] = ""
+    return "".join(map(operator.add, lines, ends))

@@ -687,9 +687,16 @@ GENERATED_BODY = b"timestamp,real_close,generated_close\n" + b"".join(
     b"t%d,%d.5,%d.25\n" % (i, 100 + i % 7, 101 - i % 5) for i in range(30))
 
 
+PRICE_BODY = b"timestamp,open,high,low,close\n" + b"".join(
+    b"2024-01-%02dT%02d:00:00Z,%d.25,%d.75,%d.75,%d.25\n"
+    % (1 + i // 24, i % 24, c, c, c - 1, c)
+    for i, c in enumerate(10 + (i * 7) % 5 for i in range(72)))
+QUOTED_PRICE_BODY = PRICE_BODY.replace(b",12.25\n", b',"12.25"\n', 1)
+
+
 class TestPipedInput:
-    """`evaluate` and `plot` read their input once, so a pipe reads as the
-    file it carries does."""
+    """`evaluate`, `plot` and `analyze` read their input once, so a pipe
+    reads as the file it carries does."""
 
     def test_evaluate_bad_cell_exit_2(self, tmp_path, capsys):
         body = GENERATED_BODY.replace(b"t4,104.5,97.25", b"t4,104.5,abc")
@@ -701,12 +708,26 @@ class TestPipedInput:
             f"data error: {fifo} data row 5: generated_close 'abc' "
             f"is not a number\n")
 
+    @pytest.mark.parametrize("body", [PRICE_BODY, QUOTED_PRICE_BODY],
+                             ids=["plain", "quoted"])
+    def test_analyze_without_close_exit_2(self, tmp_path, capsys, body):
+        body = body.replace(b",close\n", b",last\n", 1)
+        with pipe_of(tmp_path, body) as fifo:
+            rc = main(["analyze", "--input", str(fifo),
+                       "--out", str(tmp_path / "v.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            f"data error: missing required column 'close' in {fifo}\n")
+
     @pytest.mark.parametrize("body, argv, written", [
         (GENERATED_BODY, ["evaluate", "--out", "{out}/m.json"], "m.json"),
         (GENERATED_BODY, ["plot", "--out", "{out}"], "overlay.svg"),
         (b"epoch,loss_d,loss_g\n1,0.7,0.69\n2,0.68,0.71\n3,0.66,0.7\n",
-         ["plot", "--out", "{out}"], "losses.svg")],
-        ids=["evaluate", "plot-overlay", "plot-losses"])
+         ["plot", "--out", "{out}"], "losses.svg"),
+        (PRICE_BODY, ["analyze", "--out", "{out}/v.csv"], "v.csv"),
+        (QUOTED_PRICE_BODY, ["analyze", "--out", "{out}/v.csv"], "v.csv")],
+        ids=["evaluate", "plot-overlay", "plot-losses", "analyze-plain",
+             "analyze-quoted"])
     def test_pipe_writes_what_the_file_does(self, tmp_path, body, argv,
                                             written):
         src = tmp_path / "in.csv"

@@ -5,13 +5,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from csv_reference import (BOM, EPOCH_STAMPS, NEAR_EPOCH_STAMPS,
                            NEAR_RFC3339_STAMPS, RFC3339_STAMPS, csv_text,
                            dict_load_csv, dict_read_generated_csv, outcome,
-                           same_bits)
+                           plain_price_csv_text, same_bits)
 from tsgan import data
 from tsgan.errors import DataError
 
@@ -208,7 +208,11 @@ def assert_loads_like_dict_reader(text, bom):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "prices.csv"
         path.write_bytes(BOM * bom + text.encode("utf-8"))
-        got, want = outcome(data.load_csv, path), outcome(dict_load_csv, path)
+        assert_file_loads_like_dict_reader(path)
+
+
+def assert_file_loads_like_dict_reader(path):
+    got, want = outcome(data.load_csv, path), outcome(dict_load_csv, path)
     assert got[0] == want[0]
     if got[0] == "raised":
         assert got == want
@@ -237,6 +241,104 @@ def test_load_csv_matches_dict_reader_in_small_blocks(block, text, bom):
     the last record on block edges."""
     with mock.patch.object(data, "LOAD_BLOCK", block):
         assert_loads_like_dict_reader(text, bom)
+
+
+@given(plain_price_csv_text(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_load_csv_byte_path_matches_dict_reader(text, bom):
+    """Files of plain cells, most of which take the byte path, load as
+    DictReader loaded them."""
+    event("byte path" if data._plain(text.encode()) else "csv path")
+    assert_loads_like_dict_reader(text, bom)
+
+
+@pytest.mark.parametrize("block", [1, 64])
+@given(text=plain_price_csv_text(), bom=st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_load_csv_byte_path_matches_dict_reader_in_small_blocks(block, text,
+                                                               bom):
+    """Byte-path blocks of a line or two put the first parseable stamp,
+    odd lines and the last line on block edges."""
+    with mock.patch.object(data, "BYTE_BLOCK", block):
+        assert_loads_like_dict_reader(text, bom)
+
+
+def ingest_faults(stamps):
+    """A plain file with a row of each fault kind of the benchmark's
+    ingest file between good rows, on `stamps` (seven of them)."""
+    t = stamps
+    return CSV_HEADER + "".join([
+        row(t[0], "10.00", "10.20", "9.90", "10.10"),
+        "not-a-timestamp,10.00,10.20,9.90,10.10\n",
+        row(t[1], "10.00", "10.20", "9.90", "abc"),
+        row(t[1], "10.00", "10.20", "9.90", "nan"),
+        row(t[2], "10.00", "inf", "9.90", "10.10"),
+        row(t[2], "10.00", "10.20", "9.90", ""),
+        f"{t[3]},10.00\n",
+        row(t[3], "10.00", "10.20", "10.30", "10.10"),  # high below low
+        row(t[4], "10.00", "10.20", "9.90", "10.10"),
+        row(t[4], "10.05", "10.25", "9.95", "10.05"),  # a duplicate
+        row(t[6], "10.00", "10.20", "9.90", "10.10"),  # out of order
+        row(t[5], "10.00", "10.20", "9.90", "-1.00"),
+    ])
+
+
+class TestLoadBytePath:
+    RFC3339 = [f"2024-01-01T00:0{m}:00Z" for m in range(7)]
+    EPOCH = [str(1704067200 + 60 * m) for m in range(7)]
+
+    @pytest.mark.parametrize("stamps, per_cell", [(RFC3339, 6), (EPOCH, 7)],
+                             ids=["rfc3339", "epoch"])
+    @pytest.mark.parametrize("ending", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_faults_load_without_the_csv_path(self, tmp_path, stamps,
+                                              per_cell, ending):
+        """Each fault kind of the ingest file is a line of the byte path:
+        the file loads as DictReader loads it with the csv path broken,
+        and only the first line and the lines `np.loadtxt` cannot take
+        (the five bad cells and, in an epoch file, the bad stamp) take the
+        per-cell rules."""
+        path = tmp_path / "a.csv"
+        path.write_bytes(ingest_faults(stamps).replace("\n", ending).encode())
+        per_cell_records = []
+
+        def parse_records(records, fmt):
+            per_cell_records.extend(records)
+            return parse(records, fmt)
+
+        parse = data._parse_records
+        with mock.patch.object(data, "read_columns", side_effect=AssertionError(
+                "the csv path ran")), \
+                mock.patch.object(data, "_parse_records", parse_records):
+            assert_file_loads_like_dict_reader(path)
+        assert len(data.load_csv(path).rejects) == 6
+        assert len(per_cell_records) == per_cell
+
+    @pytest.mark.parametrize("body, plain", [
+        (BOM + b"timestamp,close\n2024-01-01T00:00:00Z,1.5\n", True),
+        ("timestamp,close\n2024-01-01T00:00:00Z,\u0661\n"
+         "2024-01-01T00:01:00Z,1\u0661\n".encode(), True),
+        (b'timestamp,close\n2024-01-01T00:00:00Z,"1.5"\n', False),
+        (b"timestamp,close\r2024-01-01T00:00:00Z,1.5\r", False),
+        (b"timestamp,close\n2024-01-01T00:00:00Z,1.5\x00\n", False),
+        (b"timestamp,close,note\n2024-01-01T00:00:00Z,1.5,"
+         + b"n" * 131_073 + b"\n", False),
+        (b"timestamp,open,high,low,close\n", True),
+        (b"timestamp,close\n1647871200.0,1.5\n1_647_871_200,1.5\n"
+         b"1647871260,1.5\n", True),
+    ], ids=["bom", "arabic-digit", "quoted", "lone-cr", "nul", "oversized",
+            "header-only", "epoch-float-underscore"])
+    def test_odd_files(self, tmp_path, body, plain):
+        """Files at the edges of the byte path load as DictReader loads
+        them; a cell over csv's field size limit is csv's error, named."""
+        path = tmp_path / "a.csv"
+        path.write_bytes(body)
+        assert data._plain(body) == plain
+        want = outcome(dict_load_csv, path)
+        if want[0] == "raised":
+            assert outcome(data.load_csv, path) == \
+                ("raised", DataError, f"{path} line 2: {want[2]}")
+        else:
+            assert_file_loads_like_dict_reader(path)
 
 
 class TestLoadBlocks:
@@ -296,11 +398,17 @@ def test_vectorized_stamps_agree_with_parse_timestamp(cells):
     """Each cell the strict parses take reads as _parse_timestamp reads it,
     and a block parse gives each cell what the per-cell loop gave."""
     cells = tuple(cells)
-    for fmt, strict in [("rfc3339", data._strict_rfc3339),
-                        ("epoch", data._strict_epoch)]:
-        micros, took = strict(cells)
+    for fmt in ("rfc3339", "epoch"):
+        micros, took = data._strict_cells(cells, fmt)
         for cell, value in zip(np.compress(took, cells), micros[took]):
             assert value == data._parse_timestamp(cell, fmt)[0]
+    # the byte path's form: the UTF-8 bytes of each 20-byte cell, a column
+    # of a (20, n) matrix
+    wide = [cell for cell in cells if len(cell.encode()) == 20]
+    stamps = np.frombuffer("".join(wide).encode(), dtype=np.uint8)
+    micros, took = data._strict_rfc3339(stamps.reshape(-1, 20).T.copy())
+    for cell, value in zip(np.compress(took, wide), micros[took]):
+        assert value == data._parse_timestamp(cell, "rfc3339")[0]
     for fmt in (None, "epoch", "rfc3339"):
         micros, parsed, reasons, detected = data._parse_stamps(cells, fmt)
         for i, cell in enumerate(cells):
@@ -322,10 +430,12 @@ def test_strict_parses_take_every_whole_utc_second(dt):
     micros = (dt - datetime(1970, 1, 1)) // data._MICROSECOND
     stamp = (f"{dt.year:04d}-{dt.month:02d}-{dt.day:02d}T{dt.hour:02d}:"
              f"{dt.minute:02d}:{dt.second:02d}Z")
-    for strict, cell in [(data._strict_rfc3339, stamp),
-                         (data._strict_epoch, str(micros // 1_000_000))]:
-        values, took = strict((cell,))
+    for fmt, cell in [("rfc3339", stamp), ("epoch", str(micros // 1_000_000))]:
+        values, took = data._strict_cells((cell,), fmt)
         assert took.tolist() == [True] and values.tolist() == [micros]
+    matrix = np.frombuffer(stamp.encode(), dtype=np.uint8)[:, None]
+    values, took = data._strict_rfc3339(matrix)
+    assert took.tolist() == [True] and values.tolist() == [micros]
 
 
 def mkseries(bars):
