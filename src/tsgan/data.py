@@ -4,22 +4,22 @@ Everything here is a pure function over immutable inputs: load once, clean,
 then slice normalized closes into (condition window, next value) pairs. A
 series is columnar: one array per CSV column, rows ascending in time.
 
-`load_csv` reads the file's bytes once and parses them a block at a time,
-a column at a time. A `_plain` file (UTF-8 with no quote, NUL, byte
-0x1c-0x1f, `\r` outside `\r\n` or cell over csv's size limit) takes the
-byte path: NumPy finds the lines and commas of BYTE_BLOCK bytes, and one
-`np.loadtxt` call parses the number cells of the lines that have the
-header's cell count and whose number cells pass a byte screen. Every other
-line, and every record of every other file (LOAD_BLOCK records of
-`open_csv` at a time), takes the per-cell rules: `_parse_timestamp`, one
-`float` per price cell and `_price_error`. The timestamp format is
-detected as `_parse_timestamp` detects it, from the first stamp that
-parses. After that, two kinds of stamp take a strict vectorized parse:
-exactly `YYYY-MM-DDTHH:MM:SSZ` (ASCII digits, a real date, hh <= 23, mm
-and ss <= 59) in an RFC 3339 file, and a whole number of seconds within
-years 1-9999 in an epoch file. Every other stamp goes through
-`_parse_timestamp` on its own. Either way a cell reads the same: the rows,
-rejects and columns are those a row-by-row loop gives.
+`load_csv` reads the file's bytes once and parses them a block at a time.
+A `_plain` file (UTF-8 with no quote, NUL, byte 0x1c-0x1f, `\r` outside
+`\r\n` or cell over csv's size limit) takes the byte path: NumPy finds the
+lines and commas of BYTE_BLOCK bytes, one `np.loadtxt` call parses the
+number cells of the lines that have the header's cell count and whose
+number cells pass a byte screen, and a strict vectorized parse takes the
+stamps of those lines once the first stamp that parses has fixed the
+format: exactly `YYYY-MM-DDTHH:MM:SSZ` (ASCII digits, a real date, hh <=
+23, mm and ss <= 59) in an RFC 3339 file, and a whole number of seconds
+within years 1-9999 in an epoch file. A line is kept from there only when
+its stamp took that parse and its prices are finite. Every other line,
+and every record of every other file (LOAD_BLOCK records of `open_csv` at
+a time), takes `_parse_records`, the per-cell rules one record after
+another: `_parse_timestamp`, one `float` per price cell and
+`_price_error`. Either way a cell reads the same: the rows, rejects and
+columns are those a row-by-row loop gives.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
-from itertools import chain, compress, islice, repeat
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -132,14 +132,13 @@ def _parse_timestamp(raw: str, fmt: str | None) -> tuple[int, str]:
 
 
 @contextmanager
-def open_csv(path, raw: bytes | None = None):
-    """A `csv.reader` over the UTF-8 file at `path`, or over `raw`, that
-    file's bytes, when given; a leading byte-order mark is skipped. While
-    it is open, a byte that is not UTF-8 or a record `csv` refuses (a cell
-    over its field size limit) is a DataError naming the file."""
-    with open(path, newline="", encoding="utf-8-sig") if raw is None else \
-            io.TextIOWrapper(io.BytesIO(raw), newline="",
-                             encoding="utf-8-sig") as fh:
+def open_csv(path, raw: bytes):
+    """A `csv.reader` over `raw`, the bytes of the UTF-8 file at `path`; a
+    leading byte-order mark is skipped. While it is open, a byte that is
+    not UTF-8 or a record `csv` refuses (a cell over its field size limit)
+    is a DataError naming the file."""
+    with io.TextIOWrapper(io.BytesIO(raw), newline="",
+                          encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             yield reader
@@ -345,10 +344,9 @@ def _price_error(cells: tuple[str, str, str, str]) -> str:
     raise AssertionError("_price_error called on a row with valid prices")
 
 
-# records the csv path of load_csv parses at a time: a block is split
-# into columns, and each column is parsed by one C-level call. Larger
-# blocks parse no faster and raise the peak memory, since a block's cells
-# are held at once
+# records the csv path of load_csv parses at a time. It bounds the memory
+# only, since a block's cells are held at once: larger blocks parse no
+# faster and raise the peak
 LOAD_BLOCK = 512
 # bytes of a plain file's body the byte path of load_csv takes at a time
 # (whole lines, at least one): about 11,000 lines of a minute file, one
@@ -356,18 +354,6 @@ LOAD_BLOCK = 512
 # memory does not grow with the file; blocks of 2,800 lines were ~15 %
 # slower on the 200k-row minute file
 BYTE_BLOCK = 1 << 19
-
-
-def _floats(cells) -> np.ndarray:
-    """float(cell) for each of `cells`, NaN where float refuses the cell."""
-    out = array("d")
-    it = iter(cells)
-    while True:
-        try:
-            out.extend(map(float, it))
-            return np.frombuffer(out)
-        except ValueError:  # out holds every cell before the refused one
-            out.append(math.nan)
 
 
 # per byte of YYYY-MM-DDTHH:MM:SSZ, the lowest it may be and how far above
@@ -419,75 +405,33 @@ def _strict_epoch(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(ok, x, 0.0).astype(np.int64) * 1_000_000, ok
 
 
-def _strict_cells(cells, fmt: str) -> tuple[np.ndarray, np.ndarray]:
-    """The strict parse of format `fmt` over the str `cells`, as
-    (microseconds, mask of the cells parsed)."""
-    if fmt == "epoch":
-        return _strict_epoch(_floats(cells))
-    fit = np.fromiter(map(len, cells), dtype=np.intp, count=len(cells)) == 20
-    # "replace" keeps one byte a character: a non-ASCII cell fails the bounds
-    stamps = np.frombuffer("".join(compress(cells, fit)).encode("ascii", "replace"),
-                           dtype=np.uint8).reshape(-1, 20).T.copy()
-    micros = np.zeros(len(cells), dtype=np.int64)
-    mask = np.zeros(len(cells), dtype=bool)
-    micros[fit], mask[fit] = _strict_rfc3339(stamps)
-    return micros, mask
-
-
-def _parse_stamps(cells, fmt: str | None):
-    """Parse one block of timestamp cells as the per-cell loop would:
-    `_parse_timestamp(cell, None)` on each cell until one parses and fixes
-    the format, then the strict vectorized parse of that format, and
-    `_parse_timestamp(cell, fmt)` for each cell it leaves.
-
-    Returns (microseconds, mask of the parsed cells, {index: reason} for
-    the refused ones, the format or None if no cell has parsed yet).
-    """
-    n = len(cells)
-    micros = np.zeros(n, dtype=np.int64)
-    parsed = np.zeros(n, dtype=bool)
-    reasons: dict[int, str] = {}
-    first = 0
-    while fmt is None and first < n:
-        try:
-            micros[first], fmt = _parse_timestamp(cells[first], None)
-            parsed[first] = True
-        except (ValueError, OverflowError) as exc:
-            reasons[first] = str(exc)
-        first += 1
-    if first < n:
-        micros[first:], parsed[first:] = _strict_cells(cells[first:], fmt)
-        _parse_left(cells, range(first, n), fmt, micros, parsed, reasons)
-    return micros, parsed, reasons, fmt
-
-
-def _parse_left(cells, rows, fmt: str, micros, parsed, reasons) -> None:
-    """`_parse_timestamp(cells[i], fmt)` for each of `rows` that `parsed`
-    does not mark (the strict parse left it): its value goes into
-    `micros` and `parsed`, or its reason into `reasons`."""
-    for i in compress(rows, ~parsed[rows]):
-        try:
-            micros[i] = _parse_timestamp(cells[i], fmt)[0]
-            parsed[i] = True
-        except (ValueError, OverflowError) as exc:
-            reasons[i] = str(exc)
-
-
 def _parse_records(records, fmt: str | None):
-    """The per-cell rules over `records`, (stamp, *prices) cell tuples:
-    `_parse_stamps`, one `float` per price cell and `_price_error`.
+    """The per-cell rules over `records`, (stamp, *prices) cell tuples, one
+    record after another: `_parse_timestamp` on the stamp (the first stamp
+    that parses fixes the format), `float` on each price cell, and
+    `_price_error` for a price that is not a finite number.
 
     Returns ((microseconds, mask of the rows kept, the prices as one row
     per price column, {index: reason} for each row not kept), format)."""
-    cells, *columns = zip(*records)
-    micros, keep, reasons, fmt = _parse_stamps(cells, fmt)
-    values = _floats(chain.from_iterable(columns))
-    values = values.reshape(len(columns), len(cells))
-    keep &= np.all(np.isfinite(values), axis=0)
-    for i in np.flatnonzero(~keep).tolist():
-        if i not in reasons:  # a stamp's reason comes before a price's
-            reasons[i] = _price_error(records[i][1:])
-    return (micros, keep, values, reasons), fmt
+    n = len(records)  # Python lists, since a NumPy item costs more to set
+    micros, keep = [0] * n, [False] * n
+    prices = [[math.nan] * (len(records[0]) - 1)] * n
+    reasons: dict[int, str] = {}
+    for i, (stamp, *cells) in enumerate(records):
+        try:
+            micros[i], fmt = _parse_timestamp(stamp, fmt)
+        except (ValueError, OverflowError) as exc:
+            reasons[i] = str(exc)  # a stamp's reason comes before a price's
+            continue
+        try:
+            prices[i] = [float(cell) for cell in cells]
+            keep[i] = all(map(math.isfinite, prices[i]))
+        except ValueError:
+            pass
+        if not keep[i]:
+            reasons[i] = _price_error(cells)
+    return (np.array(micros, dtype=np.int64), np.array(keep),
+            np.array(prices).T, reasons), fmt
 
 
 def _price_names(path, header: list[str]) -> tuple[str, ...]:
@@ -547,14 +491,14 @@ def _parse_lines(seg: np.ndarray, text: bytes, index, width: int,
     records (the non-blank lines): `index` are the columns of the stamp
     and the prices and `width` the header's cell count.
 
-    NumPy finds the lines and commas. A line of `width` cells whose number
-    cells (the prices, and the stamp in an epoch file) pass a byte screen
-    is "cut": its number cells go, with the other cut lines, to one
-    `np.loadtxt` call, and an RFC 3339 stamp of 20 bytes to
-    `_strict_rfc3339`; a stamp the strict parse leaves goes to
-    `_parse_timestamp`. Every other line (short, long, screened out, or
-    at or before the first parseable stamp of the file), and every line
-    when `np.loadtxt` refuses one, takes `_parse_records` on its cells.
+    NumPy finds the lines and commas. A line of `width` cells after the
+    first parseable stamp of the file whose number cells (the prices, and
+    the stamp in an epoch file) pass a byte screen is "cut": its number
+    cells go, with the other cut lines, to one `np.loadtxt` call, and an
+    RFC 3339 stamp of 20 bytes to `_strict_rfc3339`. A cut line is kept
+    when `np.loadtxt` took it, the strict parse (`_strict_rfc3339` or
+    `_strict_epoch`) took its stamp, and its prices are finite. Every
+    other line takes `_parse_records` on its cells.
     """
     stops = np.flatnonzero(seg == 10) + 1  # each line's end, past its \n
     if not stops.size or stops[-1] != len(seg):  # the file's last line
@@ -608,39 +552,28 @@ def _parse_lines(seg: np.ndarray, text: bytes, index, width: int,
                    stops[edge[1:] == -1].tolist())
         values = _loadtxt(io.BytesIO(b"".join(text[a:b] for a, b in runs)),
                           numbers)
-        if values is None:
-            cut = cut[:0]
 
     micros = np.zeros(n, dtype=np.int64)
     keep = np.zeros(n, dtype=bool)
     prices = np.empty((len(index) - 1, n))
-    reasons: dict[int, str] = {}
     if values is not None:
         prices[:, cut] = values[:, -prices.shape[0]:].T
-        lo, hi = (bound[screened] for bound in cells(index[0]))
         if fmt == "epoch":
             micros[cut], keep[cut] = _strict_epoch(values[:, 0])
         else:
+            lo, hi = (bound[screened] for bound in cells(index[0]))
             fit = hi - lo == 20
             micros[cut[fit]], keep[cut[fit]] = _strict_rfc3339(
                 seg[lo[fit] + np.arange(20)[:, None]])
-        left = ~keep[cut]  # stamps the strict parse left
-        stamps = {r: text[a:b].decode("utf-8") for r, a, b in
-                  zip(cut[left].tolist(), lo[left].tolist(), hi[left].tolist())}
-        _parse_left(stamps, list(stamps), fmt, micros, keep, reasons)
-        finite = np.all(np.isfinite(values[:, -prices.shape[0]:]), axis=1)
-        for r in cut[keep[cut] & ~finite].tolist():
-            reasons[r] = _price_error(record(r)[1:])
-        keep[cut] &= finite
+        keep[cut] &= np.isfinite(prices[:, cut]).all(axis=0)
 
-    odd = np.ones(n, dtype=bool)
-    odd[cut] = False
-    odd = np.flatnonzero(odd)
+    reasons: dict[int, str] = {}
+    odd = np.flatnonzero(~keep)
     if odd.size:
         (m, k, v, why), fmt = _parse_records([record(r) for r in odd.tolist()],
                                              fmt_in)
         micros[odd], keep[odd], prices[:, odd] = m, k, v
-        reasons.update((odd[i].item(), reason) for i, reason in why.items())
+        reasons = {odd[i].item(): reason for i, reason in why.items()}
     return (micros, keep, prices, reasons), fmt
 
 

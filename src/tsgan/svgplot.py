@@ -20,6 +20,11 @@ def _scale(values: np.ndarray, lo: float, hi: float, out_lo: float,
            out_hi: float) -> np.ndarray:
     if hi == lo:  # flat series still renders as a centered line
         return np.full_like(values, 0.5 * (out_lo + out_hi))
+    # values within 2**1000 of zero are left as they are; larger ones are
+    # brought below that by an exact power of two, so that hi - lo and
+    # (values - lo) * (out_hi - out_lo) cannot overflow
+    shift = min(1000 - np.frexp(max(abs(lo), abs(hi)))[1], 0)
+    values, lo, hi = (np.ldexp(v, shift) for v in (values, lo, hi))
     return out_lo + (values - lo) * (out_hi - out_lo) / (hi - lo)
 
 

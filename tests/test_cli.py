@@ -829,6 +829,22 @@ class TestPlot:
             plots.append((out / "losses.svg").read_bytes())
         assert plots[0] == plots[1]
 
+    @pytest.mark.parametrize("body", [
+        "epoch,loss_d,loss_g\n1,1e308,-1e308\n2,-1e308,1e308\n",
+        "timestamp,real_close,generated_close\n"
+        "t0,1e308,-1e308\nt1,-1e308,1e308\n",
+    ], ids=["losses", "generated"])
+    def test_largest_finite_values_plot(self, tmp_path, body):
+        """Values whose range overflows float64 still scale to points,
+        with no warning."""
+        src = tmp_path / "in.csv"
+        src.write_text(body)
+        out = tmp_path / "plots"
+        proc = run_cli("plot", "--input", src, "--out", out)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        svg = next(out.glob("*.svg")).read_text()
+        assert "nan" not in svg and svg.count("<polyline") >= 2
+
     def test_empty_input_exit_2(self, tmp_path):
         empty = tmp_path / "e.csv"
         empty.write_text("timestamp,real_close,generated_close\n")

@@ -1,3 +1,4 @@
+import math
 import tempfile
 from datetime import datetime
 from pathlib import Path
@@ -287,16 +288,15 @@ class TestLoadBytePath:
     RFC3339 = [f"2024-01-01T00:0{m}:00Z" for m in range(7)]
     EPOCH = [str(1704067200 + 60 * m) for m in range(7)]
 
-    @pytest.mark.parametrize("stamps, per_cell", [(RFC3339, 6), (EPOCH, 7)],
+    @pytest.mark.parametrize("stamps, per_cell", [(RFC3339, 7), (EPOCH, 7)],
                              ids=["rfc3339", "epoch"])
     @pytest.mark.parametrize("ending", ["\n", "\r\n"], ids=["lf", "crlf"])
     def test_faults_load_without_the_csv_path(self, tmp_path, stamps,
                                               per_cell, ending):
         """Each fault kind of the ingest file is a line of the byte path:
         the file loads as DictReader loads it with the csv path broken,
-        and only the first line and the lines `np.loadtxt` cannot take
-        (the five bad cells and, in an epoch file, the bad stamp) take the
-        per-cell rules."""
+        and only the first line, the lines `np.loadtxt` cannot take (the
+        five bad cells) and the bad stamp take the per-cell rules."""
         path = tmp_path / "a.csv"
         path.write_bytes(ingest_faults(stamps).replace("\n", ending).encode())
         per_cell_records = []
@@ -325,8 +325,15 @@ class TestLoadBytePath:
         (b"timestamp,open,high,low,close\n", True),
         (b"timestamp,close\n1647871200.0,1.5\n1_647_871_200,1.5\n"
          b"1647871260,1.5\n", True),
+        (b"timestamp,close\n2024-01-01T00:00:00Z,1.5\n"
+         b"2024-01-01T00:00:00+00:00,1.5\n2024-01-01T00:01:00Z,1.5\n", True),
+        (b"timestamp,close\n1704067200,1.5\n1704067200.5,1.5\n"
+         b"1704067260,1.5\n", True),
+        (b"timestamp,close\n2024-01-01T00:00:00Z,1.5\n"
+         b"2024-01-01T00:01:00Z,1e999\n2024-01-01T00:02:00Z,1.5\n", True),
     ], ids=["bom", "arabic-digit", "quoted", "lone-cr", "nul", "oversized",
-            "header-only", "epoch-float-underscore"])
+            "header-only", "epoch-float-underscore", "rfc3339-offset",
+            "epoch-fraction", "overflowing-close"])
     def test_odd_files(self, tmp_path, body, plain):
         """Files at the edges of the byte path load as DictReader loads
         them; a cell over csv's field size limit is csv's error, named."""
@@ -392,34 +399,29 @@ STAMP_CELLS = st.one_of(
 )
 
 
+def float_or_nan(cell):
+    try:
+        return float(cell)
+    except ValueError:
+        return math.nan
+
+
 @given(st.lists(STAMP_CELLS, max_size=20))
 @settings(max_examples=300, deadline=None)
 def test_vectorized_stamps_agree_with_parse_timestamp(cells):
-    """Each cell the strict parses take reads as _parse_timestamp reads it,
-    and a block parse gives each cell what the per-cell loop gave."""
-    cells = tuple(cells)
-    for fmt in ("rfc3339", "epoch"):
-        micros, took = data._strict_cells(cells, fmt)
-        for cell, value in zip(np.compress(took, cells), micros[took]):
-            assert value == data._parse_timestamp(cell, fmt)[0]
-    # the byte path's form: the UTF-8 bytes of each 20-byte cell, a column
-    # of a (20, n) matrix
+    """Each cell the strict parses take reads as _parse_timestamp reads it:
+    `_strict_epoch` over the float of each cell, and `_strict_rfc3339`
+    over the UTF-8 bytes of each 20-byte cell, a column of a (20, n)
+    matrix, as the byte path hands them over."""
+    x = np.array([float_or_nan(cell) for cell in cells], dtype=np.float64)
+    micros, took = data._strict_epoch(x)
+    for cell, value in zip(np.compress(took, cells), micros[took]):
+        assert value == data._parse_timestamp(cell, "epoch")[0]
     wide = [cell for cell in cells if len(cell.encode()) == 20]
     stamps = np.frombuffer("".join(wide).encode(), dtype=np.uint8)
     micros, took = data._strict_rfc3339(stamps.reshape(-1, 20).T.copy())
     for cell, value in zip(np.compress(took, wide), micros[took]):
         assert value == data._parse_timestamp(cell, "rfc3339")[0]
-    for fmt in (None, "epoch", "rfc3339"):
-        micros, parsed, reasons, detected = data._parse_stamps(cells, fmt)
-        for i, cell in enumerate(cells):
-            try:
-                value, found = data._parse_timestamp(cell, fmt)
-            except (ValueError, OverflowError) as exc:
-                assert not parsed[i] and reasons[i] == str(exc)
-                continue
-            fmt = fmt or found
-            assert parsed[i] and micros[i] == value and i not in reasons
-        assert detected == fmt
 
 
 @given(st.datetimes(min_value=datetime(1, 1, 1),
@@ -430,9 +432,8 @@ def test_strict_parses_take_every_whole_utc_second(dt):
     micros = (dt - datetime(1970, 1, 1)) // data._MICROSECOND
     stamp = (f"{dt.year:04d}-{dt.month:02d}-{dt.day:02d}T{dt.hour:02d}:"
              f"{dt.minute:02d}:{dt.second:02d}Z")
-    for fmt, cell in [("rfc3339", stamp), ("epoch", str(micros // 1_000_000))]:
-        values, took = data._strict_cells((cell,), fmt)
-        assert took.tolist() == [True] and values.tolist() == [micros]
+    values, took = data._strict_epoch(np.array([float(micros // 1_000_000)]))
+    assert took.tolist() == [True] and values.tolist() == [micros]
     matrix = np.frombuffer(stamp.encode(), dtype=np.uint8)[:, None]
     values, took = data._strict_rfc3339(matrix)
     assert took.tolist() == [True] and values.tolist() == [micros]
