@@ -5,15 +5,14 @@ step, with a per-sample Gaussian noise vector concatenated to every step
 input; a scalar head reads the final short-term state. Discriminator: an
 MLP scoring (condition window, value) as a raw logit.
 
-Training alternates one discriminator step and one generator step per
-mini-batch, each on a fake batch from noise rows of its own. The D step's
-fake batch is a constant to it, so it comes from the pass conditioned
-synthesis runs, which keeps no trajectory; only the G step's batch runs
-`Generator.forward`, whose trajectory its backward reads. The
-discriminator sees its k real and k fake rows in one 2k-row pass. The D
-pass and both steps run with the BLAS pinned to one thread; the G pass
-keeps the BLAS's threads. All randomness flows through a single seeded
-Generator so runs are bit-reproducible.
+Training makes one fake batch per mini-batch with one `Generator.forward`
+and runs one discriminator step and then one generator step on it: D
+trains on it as a constant, in one 2k-row pass with its k real rows, and
+G trains on it through the updated D, its backward reading the forward's
+trajectory. Both steps run with the BLAS pinned to one thread; the
+generator pass keeps the BLAS's threads. All randomness flows through a
+single seeded Generator so runs are bit-reproducible, and a run resumed
+from its checkpoint continues the same stream.
 
 Synthesis keeps no trajectory: both modes run nn.lstm_step on one step's
 buffers. Conditioned synthesis runs its chunks of windows, each on buffers
@@ -324,33 +323,46 @@ class TrainedModel:
     rng_state: dict
 
 
-def train(config: TrainConfig, pairs: PairSet, scaler: scaling.ScalerParams,
-          progress=None) -> TrainedModel:
-    """Run the full alternating training loop.
-
-    Pairs are reshuffled every epoch with the run RNG; the last partial
-    batch is dropped so every update sees exactly `batch_size` samples.
-    """
-    if len(pairs) == 0:
-        raise DataError("no training pairs")
-    if pairs.condition_dim != config.condition_dim:
-        raise DataError(f"pair window {pairs.condition_dim} != configured "
-                        f"condition_dim {config.condition_dim}")
+def init_model(config: TrainConfig,
+               scaler: scaling.ScalerParams) -> TrainedModel:
+    """A fresh model at epoch 0: both nets drawn from the config's seed,
+    zero Adam states, an empty history and the RNG state after the draws."""
     rng = np.random.default_rng(config.seed)
     gen = Generator(config, rng)
     disc = Discriminator(config, rng)
     adam_g, adam_d = (AdamState.zeros(net.theta.size, lr=config.lr,
                                       beta1=config.beta1, beta2=config.beta2)
                       for net in (gen, disc))
-    history = LossHistory()
+    return TrainedModel(generator=gen, discriminator=disc, adam_g=adam_g,
+                        adam_d=adam_d, scaler=scaler, config=config, epoch=0,
+                        history=LossHistory(),
+                        rng_state=rng.bit_generator.state)
 
+
+def run_epochs(model: TrainedModel, pairs: PairSet,
+               progress=None) -> TrainedModel:
+    """Train `model` in place from its epoch through `config.epochs`,
+    continuing its RNG stream, Adam states and history; returns it.
+
+    Pairs are reshuffled every epoch with the run RNG; the last partial
+    batch is dropped so every update sees exactly `batch_size` samples.
+    """
+    config = model.config
+    if len(pairs) == 0:
+        raise DataError("no training pairs")
+    if pairs.condition_dim != config.condition_dim:
+        raise DataError(f"pair window {pairs.condition_dim} != configured "
+                        f"condition_dim {config.condition_dim}")
     k = config.batch_size
     n_batches = len(pairs) // k
     if n_batches == 0:
         raise DataError(f"fewer pairs ({len(pairs)}) than one batch ({k})")
+    gen, disc, history = model.generator, model.discriminator, model.history
+    rng = np.random.Generator(np.random.PCG64())
+    rng.bit_generator.state = model.rng_state
 
     with np.errstate(**_QUIET):
-        for epoch in range(1, config.epochs + 1):
+        for epoch in range(model.epoch + 1, config.epochs + 1):
             perm = rng.permutation(len(pairs))
             d_losses = np.empty(n_batches)
             g_losses = np.empty(n_batches)
@@ -359,22 +371,19 @@ def train(config: TrainConfig, pairs: PairSet, scaler: scaling.ScalerParams,
                 cond = pairs.conditions[idx]
                 target = pairs.targets[idx]
                 try:
-                    # noise rows :k make the D step's fake batch, rows k:
-                    # the G step's. The D pass keeps no trajectory and runs
-                    # on buffers of its own, so the G pass's stays valid
-                    # for the G step's backward.
-                    z2 = rng.standard_normal((2 * k, gen.noise_dim))
-                    fake_g, gen_cache = gen.forward(cond, z2[k:])
-                    # the D pass's and the steps' GEMMs are too small to
-                    # gain from a second BLAS thread, and waking an idle
-                    # one costs each call ms
+                    # one fake batch for both steps: the D step leaves G's
+                    # parameters and workspace alone, so the forward's
+                    # trajectory stays valid for the G step's backward
+                    z = rng.standard_normal((k, gen.noise_dim))
+                    fake, gen_cache = gen.forward(cond, z)
+                    # the steps' GEMMs are too small to gain from a second
+                    # BLAS thread, and waking an idle one costs each call ms
                     with _one_blas_thread():
-                        fake_d = _conditioned_chunk(gen, cond, z2[:k])
                         d_losses[b] = train_discriminator_step(
-                            disc, cond, target, fake_d, adam_d,
+                            disc, cond, target, fake, model.adam_d,
                             config.clip_norm)
                         g_losses[b] = train_generator_step(
-                            gen, disc, cond, fake_g, gen_cache, adam_g,
+                            gen, disc, cond, fake, gen_cache, model.adam_g,
                             config.clip_norm)
                 except NumericError as exc:
                     raise NumericError(
@@ -383,13 +392,17 @@ def train(config: TrainConfig, pairs: PairSet, scaler: scaling.ScalerParams,
             history.g_batch.extend(g_losses.tolist())
             history.d_epoch.append(float(d_losses.mean()))
             history.g_epoch.append(float(g_losses.mean()))
+            model.epoch = epoch
+            model.rng_state = rng.bit_generator.state
             if progress is not None:
                 progress(epoch, history.d_epoch[-1], history.g_epoch[-1])
+    return model
 
-    return TrainedModel(generator=gen, discriminator=disc, adam_g=adam_g,
-                        adam_d=adam_d, scaler=scaler, config=config,
-                        epoch=config.epochs, history=history,
-                        rng_state=rng.bit_generator.state)
+
+def train(config: TrainConfig, pairs: PairSet, scaler: scaling.ScalerParams,
+          progress=None) -> TrainedModel:
+    """Run the full alternating training loop on a fresh model."""
+    return run_epochs(init_model(config, scaler), pairs, progress)
 
 
 @functools.cache

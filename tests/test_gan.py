@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import dataclasses
 import math
 import pickle
 import sys
@@ -44,14 +45,11 @@ def params_checksum(params):
     return {k: v.copy() for k, v in params.items()}
 
 
-def pair_pass(gen, cond, rng):
-    """The generator passes train() runs for the steps of a batch: (2k, l)
-    noise, rows :k through the D step's pass, which keeps no trajectory,
-    and rows k: through forward. Returns (D's fake, G's fake, G's cache)."""
-    k = cond.shape[0]
-    z2 = rng.standard_normal((2 * k, gen.noise_dim))
-    fake_g, gen_cache = gen.forward(cond, z2[k:])
-    return gan._conditioned_chunk(gen, cond, z2[:k]), fake_g, gen_cache
+def fake_batch(gen, cond, rng):
+    """The one generator pass train() runs for both steps of a batch: k
+    noise rows through forward. Returns (the fake batch, its cache)."""
+    return gen.forward(cond, rng.standard_normal((cond.shape[0],
+                                                  gen.noise_dim)))
 
 
 def two_pass_d_step(disc, conditions, targets, fake, adam_d, clip_norm=5.0):
@@ -352,10 +350,10 @@ class TestTrainingSteps:
         disc = Discriminator(config, rng)
         cond = np.random.default_rng(1).standard_normal((2, 4))
         target = np.array([0.1, -0.2])
-        fake_d, fake_g, gen_cache = pair_pass(gen, cond, rng)
-        ld = train_discriminator_step(disc, cond, target, fake_d,
+        fake, gen_cache = fake_batch(gen, cond, rng)
+        ld = train_discriminator_step(disc, cond, target, fake,
                                       adam_for(disc))
-        lg = train_generator_step(gen, disc, cond, fake_g, gen_cache,
+        lg = train_generator_step(gen, disc, cond, fake, gen_cache,
                                   adam_for(gen))
         assert ld == pytest.approx(LN2, abs=1e-12)
         assert lg == pytest.approx(LN2, abs=1e-12)
@@ -375,8 +373,8 @@ class TestTrainingSteps:
         disc = Discriminator(config, rng)
         before = params_checksum(gen.params())
         cond = rng.standard_normal((2, 4))
-        fake_d, _, _ = pair_pass(gen, cond, rng)
-        train_discriminator_step(disc, cond, np.array([0.1, 0.2]), fake_d,
+        fake, _ = fake_batch(gen, cond, rng)
+        train_discriminator_step(disc, cond, np.array([0.1, 0.2]), fake,
                                  adam_for(disc))
         for name, value in gen.params().items():
             np.testing.assert_array_equal(value, before[name])
@@ -388,8 +386,8 @@ class TestTrainingSteps:
         disc = Discriminator(config, rng)
         before = params_checksum(disc.params())
         cond = rng.standard_normal((2, 4))
-        _, fake_g, gen_cache = pair_pass(gen, cond, rng)
-        train_generator_step(gen, disc, cond, fake_g, gen_cache,
+        fake, gen_cache = fake_batch(gen, cond, rng)
+        train_generator_step(gen, disc, cond, fake, gen_cache,
                              adam_for(gen))
         for name, value in disc.params().items():
             np.testing.assert_array_equal(value, before[name])
@@ -401,8 +399,8 @@ class TestTrainingSteps:
         disc = Discriminator(config, rng)
         before = params_checksum(gen.params())
         cond = rng.standard_normal((2, 4))
-        _, fake_g, gen_cache = pair_pass(gen, cond, rng)
-        train_generator_step(gen, disc, cond, fake_g, gen_cache,
+        fake, gen_cache = fake_batch(gen, cond, rng)
+        train_generator_step(gen, disc, cond, fake, gen_cache,
                              adam_for(gen, lr=1e-3))
         changed = any(not np.array_equal(v, before[k])
                       for k, v in gen.params().items())
@@ -414,10 +412,10 @@ class TestTrainingSteps:
         gen = Generator(config, rng)
         disc = Discriminator(config, rng)
         cond = rng.standard_normal((2, 4))
-        fake_d, fake_g, gen_cache = pair_pass(gen, cond, rng)
+        fake, gen_cache = fake_batch(gen, cond, rng)
         ld = train_discriminator_step(disc, cond, np.array([0.3, -0.3]),
-                                      fake_d, adam_for(disc))
-        lg = train_generator_step(gen, disc, cond, fake_g, gen_cache,
+                                      fake, adam_for(disc))
+        lg = train_generator_step(gen, disc, cond, fake, gen_cache,
                                   adam_for(gen))
         assert math.isfinite(ld) and ld > 0
         assert math.isfinite(lg) and lg > 0
@@ -440,10 +438,10 @@ class TestTrainingSteps:
         for _ in range(3):
             cond = rng.standard_normal((k, 4))
             target = rng.standard_normal(k)
-            fake_d, _, _ = pair_pass(gen, cond, rng)
-            loss = train_discriminator_step(disc, cond, target, fake_d,
+            fake, _ = fake_batch(gen, cond, rng)
+            loss = train_discriminator_step(disc, cond, target, fake,
                                             adam_d, clip_norm)
-            ref_loss = two_pass_d_step(ref_disc, cond, target, fake_d,
+            ref_loss = two_pass_d_step(ref_disc, cond, target, fake,
                                        ref_adam, clip_norm)
             assert loss == pytest.approx(ref_loss, rel=0, abs=1e-15)
             for name, value in ref_disc.params().items():
@@ -477,12 +475,13 @@ class TestTrainLoop:
         for name, value in a.generator.params().items():
             np.testing.assert_array_equal(value, b.generator.params()[name])
 
-    def test_d_pass_runs_on_one_blas_thread(self, monkeypatch):
-        # unpinned, the D pass's small GEMMs wait on waking an idle BLAS
-        # thread, and a cold first batch takes about twice as long
+    def test_one_unpinned_generator_pass_per_batch(self, monkeypatch):
+        # the steps' small GEMMs run pinned: unpinned, each waits on waking
+        # an idle BLAS thread, and a cold first batch takes about twice as
+        # long. Only the generator pass keeps the BLAS's threads.
         events, pinned = [], 0
-        real_pin, real_chunk = gan._one_blas_thread, gan._conditioned_chunk
-        real_forward = Generator.forward
+        real_pin, real_forward = gan._one_blas_thread, Generator.forward
+        real_d, real_g = gan.train_discriminator_step, gan.train_generator_step
 
         @contextlib.contextmanager
         def pin():
@@ -494,19 +493,33 @@ class TestTrainLoop:
                 finally:
                     pinned -= 1
 
-        def chunk(*args):
-            events.append(("D pass", pinned))
-            return real_chunk(*args)
-
         def forward(self, *args):
-            events.append(("G pass", pinned))
-            return real_forward(self, *args)
+            out = real_forward(self, *args)
+            events.append(("forward", pinned, out[0]))
+            return out
+
+        def d_step(disc, cond, target, fake, *args):
+            events.append(("D step", pinned, fake))
+            return real_d(disc, cond, target, fake, *args)
+
+        def g_step(gen, disc, cond, fake, *args):
+            events.append(("G step", pinned, fake))
+            return real_g(gen, disc, cond, fake, *args)
+
+        def chunk(*args):
+            raise AssertionError("train ran the synthesis pass")
 
         monkeypatch.setattr(gan, "_one_blas_thread", pin)
-        monkeypatch.setattr(gan, "_conditioned_chunk", chunk)
         monkeypatch.setattr(Generator, "forward", forward)
+        monkeypatch.setattr(gan, "train_discriminator_step", d_step)
+        monkeypatch.setattr(gan, "train_generator_step", g_step)
+        monkeypatch.setattr(gan, "_conditioned_chunk", chunk)
         train(toy_config(batch_size=3), toy_pairs(n=10), toy_scaler())
-        assert events == [("G pass", 0), ("D pass", 1)] * 3
+        assert [event[:2] for event in events] == \
+            [("forward", 0), ("D step", 1), ("G step", 1)] * 3
+        fakes = [fake for _, _, fake in events]
+        for b in range(0, len(fakes), 3):  # both steps take the forward's
+            assert fakes[b + 1] is fakes[b] and fakes[b + 2] is fakes[b]
 
     def test_batch_count_drops_partial(self):
         config = toy_config(epochs=1, batch_size=3)
@@ -848,40 +861,23 @@ class TestCheckpointRoundTrip:
             checkpoint.load(path)
 
     def test_resume_matches_uninterrupted(self, tmp_path):
-        """Loading a checkpoint and continuing reproduces the trajectory of
-        an uninterrupted run with the same total epoch budget."""
+        """Loading a checkpoint and running the rest of the epoch budget
+        writes the bytes of an uninterrupted run with that budget."""
         pairs = toy_pairs(seed=23)
-        full = train(toy_config(epochs=4, seed=23), pairs, toy_scaler())
 
-        half = train(toy_config(epochs=2, seed=23), pairs, toy_scaler())
-        path = tmp_path / "half.json"
-        checkpoint.save(path, half)
-        resumed = checkpoint.load(path)
-        rng = np.random.default_rng()
-        rng.bit_generator.state = resumed.rng_state
-        k = resumed.config.batch_size
-        n_batches = len(pairs) // k
-        for _ in range(2):
-            perm = rng.permutation(len(pairs))
-            for b in range(n_batches):
-                idx = perm[b * k:(b + 1) * k]
-                cond = pairs.conditions[idx]
-                fake_d, fake_g, gen_cache = pair_pass(resumed.generator, cond,
-                                                      rng)
-                train_discriminator_step(resumed.discriminator, cond,
-                                         pairs.targets[idx], fake_d,
-                                         resumed.adam_d,
-                                         resumed.config.clip_norm)
-                train_generator_step(resumed.generator, resumed.discriminator,
-                                     cond, fake_g, gen_cache, resumed.adam_g,
-                                     resumed.config.clip_norm)
-        for net in ("generator", "discriminator"):
-            ours = getattr(resumed, net).params()
-            for name, value in getattr(full, net).params().items():
-                np.testing.assert_array_equal(ours[name], value)
-        for ours, theirs in ((resumed.adam_g, full.adam_g),
-                             (resumed.adam_d, full.adam_d)):
-            assert ours.t == theirs.t
-            np.testing.assert_array_equal(ours.m, theirs.m)
-            np.testing.assert_array_equal(ours.v, theirs.v)
-        assert rng.bit_generator.state == full.rng_state
+        def write(model, name):
+            checkpoint.save(tmp_path / f"{name}.json", model)
+            history = model.history
+            data.write_csv(tmp_path / f"{name}.csv", ["epoch", "d", "g"],
+                           ((i, repr(d), repr(g)) for i, (d, g) in enumerate(
+                               zip(history.d_epoch, history.g_epoch), 1)))
+
+        write(train(toy_config(epochs=4, seed=23), pairs, toy_scaler()), "full")
+        write(train(toy_config(epochs=2, seed=23), pairs, toy_scaler()), "half")
+        resumed = checkpoint.load(tmp_path / "half.json")
+        assert resumed.epoch == 2
+        resumed.config = dataclasses.replace(resumed.config, epochs=4)
+        write(gan.run_epochs(resumed, pairs), "resumed")
+        for suffix in (".json", ".csv"):
+            assert (tmp_path / f"resumed{suffix}").read_bytes() == \
+                (tmp_path / f"full{suffix}").read_bytes()
