@@ -10,6 +10,7 @@ Submodules:
     metrics    Pearson/Spearman/MAE/RMSE and daily volatility profiles
     gradcheck  finite-difference verification suite
     svgplot    deterministic SVG line plots
+    errors     DataError, NumericError and check_scalar, the one scalar check
     cli        command-line entry point
 """
 

@@ -17,15 +17,14 @@ from __future__ import annotations
 import base64
 import dataclasses
 import json
-import math
 import os
 from contextlib import contextmanager
-from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
+from .errors import (COUNT, FINITE, FINITE_POSITIVE, FRACTION, DataError,
+                     check_scalar)
 from .gan import Discriminator, Generator, LossHistory, TrainConfig, TrainedModel
 from .nn import Layout
 from .optim import AdamState
@@ -34,13 +33,9 @@ from .scaling import ScalerParams
 FORMAT = "tsgan-checkpoint"
 VERSION = 2
 CONFIG_KEYS = frozenset(f.name for f in dataclasses.fields(TrainConfig))
-# what a checkpoint scalar must be: (its type, a test of its value, the
-# two in words); a bool counts as neither a number nor an integer
-_POSITIVE = (Real, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
-_FRACTION = (Real, lambda v: 0 <= v < 1, "a number in [0, 1)")
-_COUNT = (Integral, lambda v: v >= 0, "an integer >= 0")
-ADAM_KEYS = {"lr": _POSITIVE, "beta1": _FRACTION, "beta2": _FRACTION,
-             "epsilon": _POSITIVE, "t": _COUNT}
+ADAM_KEYS = {"lr": FINITE_POSITIVE, "beta1": FRACTION, "beta2": FRACTION,
+             "epsilon": FINITE_POSITIVE, "t": COUNT}
+LOSS_KEYS = tuple(f.name for f in dataclasses.fields(LossHistory))
 
 
 def _encode_array(a: np.ndarray) -> dict:
@@ -86,10 +81,7 @@ def save(path, model: TrainedModel) -> None:
         "config": dataclasses.asdict(model.config),
         "scaler": model.scaler.to_dict(),
         "epoch": model.epoch,
-        "loss_history": {"d_epoch": model.history.d_epoch,
-                         "g_epoch": model.history.g_epoch,
-                         "d_batch": model.history.d_batch,
-                         "g_batch": model.history.g_batch},
+        "loss_history": vars(model.history),
         "rng_state": model.rng_state,
         "params": _encode_blocks({**model.generator.params(),
                                   **model.discriminator.params()}),
@@ -118,18 +110,27 @@ def _decode_blocks(what: str, obj: dict, layout: Layout) -> dict:
     return blocks
 
 
-def _scalar(what: str, value, rule):
-    """`value` if it is of `rule`'s type and passes its test; else a
-    DataError naming `what`."""
-    kind, test, words = rule
-    try:
-        ok = not isinstance(value, bool) and isinstance(value, kind) \
-            and test(value)
-    except OverflowError:  # an int too large for a float
-        ok = False
-    if not ok:
-        raise DataError(f"{what} must be {words}, not {value!r}")
-    return value
+def _history(hist: dict, epoch: int) -> LossHistory:
+    """The loss history in `hist` if its lists hold finite numbers, one
+    d and one g loss per epoch and per batch, the same number of batches
+    in each of `epoch` epochs; else a DataError naming loss_history."""
+    for key in LOSS_KEYS:
+        if not isinstance(hist[key], list):
+            raise DataError(f"loss_history.{key} must be a list, not "
+                            f"{hist[key]!r}")
+        what = f"a loss in loss_history.{key}"
+        for loss in hist[key]:
+            check_scalar(what, loss, FINITE)
+    d, g = len(hist["d_epoch"]), len(hist["g_epoch"])
+    if not d == g == epoch:
+        raise DataError(f"loss_history holds {d} d_epoch and {g} g_epoch "
+                        f"losses, not {epoch} each, one per epoch")
+    d, g = len(hist["d_batch"]), len(hist["g_batch"])
+    if d != g or (d % epoch if epoch else d):
+        raise DataError(f"loss_history holds {d} d_batch and {g} g_batch "
+                        f"losses, not one count that is a multiple of epoch "
+                        f"{epoch}")
+    return LossHistory(**{key: hist[key] for key in LOSS_KEYS})
 
 
 def _model_from(doc: dict) -> TrainedModel:
@@ -151,7 +152,7 @@ def _model_from(doc: dict) -> TrainedModel:
         m, v = (layout.pack(_decode_blocks(f"{what}.{key}", doc[what][key],
                                            layout)) for key in ("m", "v"))
         adam[what] = AdamState(m, v, **{
-            key: _scalar(f"{what}.{key}", doc[what][key], rule)
+            key: check_scalar(f"{what}.{key}", doc[what][key], rule)
             for key, rule in ADAM_KEYS.items()})
 
     rng_state = doc["rng_state"]
@@ -161,15 +162,13 @@ def _model_from(doc: dict) -> TrainedModel:
     except (TypeError, ValueError, KeyError, OverflowError) as exc:
         raise DataError(f"rng_state is not a PCG64 state: {exc}") from None
 
-    hist = doc["loss_history"]
-    history = LossHistory(d_epoch=hist["d_epoch"], g_epoch=hist["g_epoch"],
-                          d_batch=hist["d_batch"], g_batch=hist["g_batch"])
+    epoch = check_scalar("epoch", doc["epoch"], COUNT)
     return TrainedModel(generator=Generator(config, blocks=params),
                         discriminator=Discriminator(config, blocks=params),
                         adam_g=adam["adam_g"], adam_d=adam["adam_d"],
                         scaler=scaler, config=config,
-                        epoch=_scalar("epoch", doc["epoch"], _COUNT),
-                        history=history,
+                        epoch=epoch,
+                        history=_history(doc["loss_history"], epoch),
                         rng_state=bit_generator.state)
 
 
@@ -180,7 +179,9 @@ def load(path) -> TrainedModel:
     format or version, a missing or malformed entry, an `rng_state` a
     PCG64 generator refuses, an Adam `lr` or `epsilon` that is not a
     finite number > 0, a `beta1` or `beta2` outside [0, 1), an Adam `t` or
-    an `epoch` that is not an integer >= 0, or a parameter or Adam moment
+    an `epoch` that is not an integer >= 0 (each by errors.check_scalar),
+    a `loss_history` list with an entry that is not a finite number or
+    whose length disagrees with the epoch, or a parameter or Adam moment
     block that is not finite or whose name or shape disagrees with the
     networks its config builds.
     """

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import checkpoint, data, gradcheck, metrics, scaling, svgplot
-from .errors import DataError, NumericError
+from .errors import COUNT, DataError, NumericError, check_scalar
 from .gan import TrainConfig, synthesize_series, train
 
 EXIT_DATA = 2
@@ -87,9 +87,7 @@ def _seed(flag=None) -> int:
         seed = flag if flag is not None else int(env) if env else 0
     except ValueError:
         raise DataError(f"TSGAN_SEED={env!r} is not an integer") from None
-    if seed < 0:
-        raise DataError(f"seed must be >= 0, not {seed}")
-    return seed
+    return check_scalar("seed", seed, COUNT)
 
 
 def _build_parser() -> _Parser:
@@ -106,11 +104,12 @@ def _build_parser() -> _Parser:
     tr.add_argument("--epochs", type=int)
     tr.add_argument("--batch-size", type=int)
     tr.add_argument("--noise-dim", type=int)
-    tr.add_argument("--cond-dim", type=int)
+    tr.add_argument("--cond-dim", type=int, dest="condition_dim",
+                    metavar="COND_DIM")
     tr.add_argument("--lr", type=float)
     tr.add_argument("--beta1", type=float)
     tr.add_argument("--beta2", type=float)
-    tr.add_argument("--hidden", type=int)
+    tr.add_argument("--hidden", type=int, dest="hidden_size", metavar="HIDDEN")
     tr.add_argument("--split", action="store_true",
                     help="train on the first 80%% of the series only")
 
@@ -158,14 +157,9 @@ def _train_config(args) -> TrainConfig:
                 raise DataError(f"config {args.config} is not JSON: {exc}")
         if not isinstance(settings, dict):
             raise DataError(f"config {args.config} is not a JSON object")
-    flag_map = {"seed": args.seed, "epochs": args.epochs,
-                "batch_size": args.batch_size, "noise_dim": args.noise_dim,
-                "condition_dim": args.cond_dim, "lr": args.lr,
-                "beta1": args.beta1, "beta2": args.beta2,
-                "hidden_size": args.hidden}
-    for key, value in flag_map.items():
-        if value is not None:
-            settings[key] = value
+    # the train flags' dests are the config fields they set
+    settings.update((key, value) for key, value in vars(args).items()
+                    if key in checkpoint.CONFIG_KEYS and value is not None)
     if "seed" not in settings:  # TSGAN_SEED only when nothing set one
         settings["seed"] = _seed()
     try:

@@ -29,11 +29,10 @@ import io
 import math
 import operator
 import warnings
-from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
-from itertools import chain, islice, repeat
+from itertools import islice, repeat
 
 import numpy as np
 
@@ -282,35 +281,23 @@ def _c_reader_rows(raw: bytes, names):
 
 def _loop_rows(path, raw: bytes, names) -> np.ndarray:
     """The cells of `names` in `raw` as (rows, len(names)) float64, one
-    `float` each over the records of `open_csv`; raises every DataError
-    that `read_floats` names."""
-    flat = array("d")  # the cells row by row, parsed without a float each
+    `float` each over the records of `read_columns`; raises every
+    DataError that `read_floats` names, at the first cell it refuses."""
+    flat = []
     with open_csv(path, raw) as reader:
         header = next(reader, [])
         if not set(names) <= set(header):
             raise DataError(f"{path} lacks {'/'.join(names)} columns")
-        # no padded copy of each row: a row too short for a column raises
-        # IndexError, and its missing cell, read as "", could only fail
-        pick = operator.itemgetter(*_column_index(header, names))
-        try:
-            flat.extend(map(float, chain.from_iterable(
-                map(pick, filter(None, reader)))))
-        except (ValueError, IndexError):  # flat holds every row before it
-            row = len(flat) // len(names)
-            with open_csv(path, raw) as again:  # to quote the refused cell
-                next(again)
-                cells = next(islice(read_columns(again, header, names), row,
-                                    None))
-            for col, cell in enumerate(cells):  # stop at the refused one
+        for row, cells in enumerate(read_columns(reader, header, names), 1):
+            for name, cell in zip(names, cells):
                 try:
-                    float(cell)
+                    flat.append(float(cell))
                 except ValueError:
-                    break
-            raise DataError(f"{path} data row {row + 1}: {names[col]} "
-                            f"{cells[col]!r} is not a number") from None
+                    raise DataError(f"{path} data row {row}: {name} "
+                                    f"{cell!r} is not a number") from None
     if not flat:
         raise DataError(f"{path} has no data rows")
-    rows = np.frombuffer(flat).reshape(-1, len(names))
+    rows = np.array(flat).reshape(-1, len(names))
     bad = np.argwhere(~np.isfinite(rows))
     if bad.size:
         r, q = bad[0]

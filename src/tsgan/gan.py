@@ -29,13 +29,14 @@ import functools
 import math
 import threading
 from dataclasses import dataclass, field
-from numbers import Integral, Real
+from numbers import Real
 
 import numpy as np
 
 from . import scaling
 from .data import PairSet
-from .errors import DataError, NumericError
+from .errors import (COUNT, FRACTION, SIZE, DataError, NumericError,
+                     check_scalar)
 from .nn import (INIT_SCHEMES, DenseLayer, Layout, LstmCell, LstmWorkspace,
                  check_lstm_state, clip_global_norm, dense_backward,
                  dense_forward, init_params, lstm_backward, lstm_forward,
@@ -54,6 +55,13 @@ _OPENBLAS_THREADS = (
     ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
     ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
     ("openblas_get_num_threads", "openblas_set_num_threads"))
+# the rule `check_scalar` applies to each scalar TrainConfig field: lr may
+# be inf, and clip_norm 0 turns clipping off
+_FIELD_RULES = {
+    "noise_dim": SIZE, "condition_dim": SIZE, "batch_size": SIZE,
+    "epochs": SIZE, "lr": (Real, lambda v: v > 0, "a number > 0"),
+    "beta1": FRACTION, "beta2": FRACTION, "seed": COUNT, "hidden_size": SIZE,
+    "clip_norm": (Real, lambda v: v >= 0, "a number >= 0")}
 
 
 @dataclass
@@ -72,29 +80,13 @@ class TrainConfig:
     init_scheme: str = "uniform-xavier"
 
     def __post_init__(self):
-        for name in ("noise_dim", "condition_dim", "batch_size", "epochs",
-                     "hidden_size", "seed"):
-            _check_type(name, getattr(self, name), Integral)
-        for name in ("lr", "beta1", "beta2", "clip_norm"):
-            _check_type(name, getattr(self, name), Real)
-        for name in ("noise_dim", "condition_dim", "batch_size", "epochs",
-                     "lr", "hidden_size"):
-            if not getattr(self, name) > 0:
-                raise DataError(f"TrainConfig.{name} must be positive")
-        if self.seed < 0:
-            raise DataError("TrainConfig.seed must be >= 0")
-        for name in ("beta1", "beta2"):
-            if not 0 <= getattr(self, name) < 1:
-                raise DataError(f"TrainConfig.{name} must be in [0, 1)")
-        if not self.clip_norm >= 0:
-            raise DataError("TrainConfig.clip_norm must be >= 0 (0: no clipping)")
+        for name, rule in _FIELD_RULES.items():
+            check_scalar(f"TrainConfig.{name}", getattr(self, name), rule)
         if self.init_scheme not in INIT_SCHEMES:
             raise DataError(f"TrainConfig.init_scheme must be one of {INIT_SCHEMES}")
-        for width in self.disc_layers:
-            _check_type("disc_layers width", width, Integral)
-            if width <= 0:
-                raise DataError("TrainConfig.disc_layers widths must be positive")
-        self.disc_layers = tuple(int(w) for w in self.disc_layers)
+        self.disc_layers = tuple(
+            int(check_scalar("TrainConfig.disc_layers width", width, SIZE))
+            for width in self.disc_layers)
         # each net's parameters lie in one float64 vector: refuse sizes no
         # NumPy array holds before anything is allocated
         for net, fields in ((Generator, "hidden_size and noise_dim"),
@@ -104,21 +96,6 @@ class TrainConfig:
                 raise DataError(f"TrainConfig.{fields} give the "
                                 f"{net.__name__.lower()} more parameters "
                                 f"than a NumPy array can hold")
-
-
-def _check_type(name: str, value, kind) -> None:
-    """Integral or Real, where a bool counts as neither and a Real must
-    convert to a float64."""
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise DataError(f"TrainConfig.{name} must be "
-                        f"{'an integer' if kind is Integral else 'a number'}, "
-                        f"not {value!r}")
-    if kind is Real:
-        try:
-            float(value)
-        except OverflowError:  # an int too large for a float
-            raise DataError(f"TrainConfig.{name} is too large for a "
-                            f"float64") from None
 
 
 @dataclass

@@ -19,7 +19,9 @@ import tsgan
 from csv_reference import (BOM, csv_text, dict_read_generated_csv,
                            numeric_csv_text, outcome, same_bits)
 from tsgan import data
+from tsgan.checkpoint import CONFIG_KEYS
 from tsgan.cli import main
+from tsgan.gan import _FIELD_RULES
 
 
 @pytest.fixture
@@ -194,6 +196,21 @@ class TestTrain:
         assert "Traceback" not in err
         assert err.startswith("data error:")
         assert "config" in err.lower()
+        assert not (tmp_path / "run").exists()
+
+    def test_every_scalar_field_has_a_rule(self):
+        assert set(_FIELD_RULES) | {"init_scheme", "disc_layers"} \
+            == CONFIG_KEYS
+
+    @pytest.mark.parametrize("field", sorted(_FIELD_RULES))
+    def test_bool_field_exit_2(self, price_csv, tmp_path, capsys, field):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({field: True}))
+        rc = main(["train", "--input", str(price_csv), "--out",
+                   str(tmp_path / "run"), "--config", str(cfg)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            f"data error: TrainConfig.{field} must be ")
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("config, flags, field", [
@@ -512,6 +529,59 @@ class TestCheckpointValidation:
         assert rc == 2
         assert capsys.readouterr().err == \
             f"data error: {bad}: {key} must be {words}, not {value!r}\n"
+        assert not (tmp_path / "g.csv").exists()
+
+    def test_too_large_scalar_exit_2(self, price_csv, tmp_path, capsys,
+                                     checkpoint):
+        doc = json.loads(checkpoint.read_text())
+        doc["adam_d"]["lr"] = 10**400
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        rc = main(["generate", "--checkpoint", str(bad), "--input",
+                   str(price_csv), "--out", str(tmp_path / "g.csv")])
+        assert rc == 2
+        assert capsys.readouterr().err == \
+            f"data error: {bad}: adam_d.lr is too large for a float64\n"
+
+    @pytest.mark.parametrize("case", [
+        "list_is_text", "entry_is_text", "entry_is_nan", "entry_is_bool",
+        "g_epoch_short", "epoch_past_history", "d_batch_short",
+        "batches_split_unevenly", "batches_at_epoch_0"])
+    def test_bad_loss_history_exit_2(self, price_csv, tmp_path, capsys,
+                                     checkpoint, case):
+        """The checkpoint (1 epoch of 2 batches) with a loss history that
+        `run_epochs` could not continue: one line naming loss_history."""
+        doc = json.loads(checkpoint.read_text())
+        hist = doc["loss_history"]
+        if case == "list_is_text":
+            hist["d_epoch"] = "abc"
+        elif case == "entry_is_text":
+            hist["d_epoch"] = ["abc"]
+        elif case == "entry_is_nan":
+            hist["g_batch"][0] = float("nan")
+        elif case == "entry_is_bool":
+            hist["d_batch"][1] = True
+        elif case == "g_epoch_short":
+            hist["g_epoch"] = []
+        elif case == "epoch_past_history":
+            doc["epoch"] = 2
+        elif case == "d_batch_short":
+            hist["d_batch"].pop()
+        elif case == "batches_split_unevenly":  # 3 batches in 2 epochs
+            doc["epoch"] = 2
+            for key in hist:
+                hist[key].append(hist[key][0])
+        else:
+            doc["epoch"] = 0
+            hist["d_epoch"], hist["g_epoch"] = [], []
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        rc = main(["generate", "--checkpoint", str(bad), "--input",
+                   str(price_csv), "--out", str(tmp_path / "g.csv")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"data error: {bad}: ")
+        assert "loss_history" in err and err.count("\n") == 1
         assert not (tmp_path / "g.csv").exists()
 
     def test_not_json_exit_2(self, price_csv, tmp_path, capsys):
