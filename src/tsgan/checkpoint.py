@@ -38,6 +38,18 @@ ADAM_KEYS = {"lr": FINITE_POSITIVE, "beta1": FRACTION, "beta2": FRACTION,
 LOSS_KEYS = tuple(f.name for f in dataclasses.fields(LossHistory))
 
 
+def _is_number_text(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
+# the scaler's mean and stddev, which `ScalerParams.to_dict` writes as text
+NUMBER_TEXT = (str, _is_number_text, "a number written as text")
+
+
 def _encode_array(a: np.ndarray) -> dict:
     return {"shape": list(a.shape),
             "data": base64.b64encode(
@@ -139,9 +151,10 @@ def _model_from(doc: dict) -> TrainedModel:
         raise DataError(f"config keys {sorted(cfg)} do not match "
                         f"{sorted(CONFIG_KEYS)}")
     config = TrainConfig(**cfg)
-    scaler = ScalerParams(mean=float(doc["scaler"]["mean"]),
-                          stddev=float(doc["scaler"]["stddev"]),
-                          n_fitted=int(doc["scaler"]["n_fitted"]))
+    stored = doc["scaler"]
+    scaler = ScalerParams(**{
+        key: float(check_scalar(f"scaler.{key}", stored[key], NUMBER_TEXT))
+        for key in ("mean", "stddev")}, n_fitted=stored["n_fitted"])
 
     gen_layout = Generator.layout_for(config)
     disc_layout = Discriminator.layout_for(config)
@@ -177,9 +190,11 @@ def load(path) -> TrainedModel:
 
     Raises DataError for anything else: a file that is not JSON, another
     format or version, a missing or malformed entry, an `rng_state` a
-    PCG64 generator refuses, an Adam `lr` or `epsilon` that is not a
-    finite number > 0, a `beta1` or `beta2` outside [0, 1), an Adam `t` or
-    an `epoch` that is not an integer >= 0 (each by errors.check_scalar),
+    PCG64 generator refuses, a scaler field ScalerParams refuses or a
+    `mean` or `stddev` not written as text, an Adam `lr` or `epsilon` that
+    is not a finite number > 0, a `beta1` or `beta2` outside [0, 1), an
+    Adam `t` or an `epoch` that is not an integer >= 0 (each by
+    errors.check_scalar),
     a `loss_history` list with an entry that is not a finite number or
     whose length disagrees with the epoch, or a parameter or Adam moment
     block that is not finite or whose name or shape disagrees with the

@@ -201,7 +201,7 @@ def cmd_train(args) -> int:
         "config": dataclasses.asdict(config),
         "noise_distribution": "standard-normal",
         "shuffle_policy": "per-epoch, seeded, last partial batch dropped",
-        "adam_epsilon": 1e-8,
+        "adam_epsilon": model.adam_g.epsilon,
         "scaler": scaler.to_dict(),
     }
     with checkpoint.atomic_write(out_dir / "manifest.json") as fh:

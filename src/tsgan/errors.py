@@ -5,8 +5,8 @@ The CLI maps the exceptions onto its exit-code contract:
 DataError -> 2, NumericError -> 3.
 
 `check_scalar` decides what a valid scalar is wherever one defines or
-resumes a model: TrainConfig's fields, a checkpoint's Adam scalars, epoch
-and losses, and the CLI's seed. A rule is (type, test, words): the value
+resumes a model: TrainConfig's and ScalerParams's fields, a checkpoint's
+scaler text, Adam scalars, epoch and losses, and the CLI's seed. A rule is (type, test, words): the value
 must be an instance of the type and pass the test, and the words name
 both in the error. A bool is neither an integer nor a number, and a
 number must convert to a float64.

@@ -15,10 +15,11 @@ single seeded Generator so runs are bit-reproducible, and a run resumed
 from its checkpoint continues the same stream.
 
 Synthesis keeps no trajectory: both modes run nn.lstm_step on one step's
-buffers. Conditioned synthesis runs its chunks of windows, each on buffers
-of its own, on as many threads as the BLAS has, while the BLAS is pinned
-to one thread. A chunk's values do not depend on which thread runs it,
-so the output is the same bytes for any number of threads.
+buffers. Conditioned synthesis maps its chunks of windows, each on buffers
+of its own, over a thread pool as large as the BLAS's while the BLAS is
+pinned to one thread: the same bytes and the same error as a sequential
+loop for any number of threads, and no chunk starts after either error
+or interrupt reaches the calling thread.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ import contextlib
 import ctypes
 import functools
 import math
-import threading
 from dataclasses import dataclass, field
 from numbers import Real
 
@@ -84,6 +84,9 @@ class TrainConfig:
             check_scalar(f"TrainConfig.{name}", getattr(self, name), rule)
         if self.init_scheme not in INIT_SCHEMES:
             raise DataError(f"TrainConfig.init_scheme must be one of {INIT_SCHEMES}")
+        if not isinstance(self.disc_layers, (list, tuple)):
+            raise DataError(f"TrainConfig.disc_layers must be a list of "
+                            f"integers > 0, not {self.disc_layers!r}")
         self.disc_layers = tuple(
             int(check_scalar("TrainConfig.disc_layers width", width, SIZE))
             for width in self.disc_layers)
@@ -458,50 +461,26 @@ def _conditioned_chunk(gen: Generator, windows: np.ndarray,
 def _conditioned(gen: Generator, windows: np.ndarray, zs: np.ndarray,
                  workers: int) -> np.ndarray:
     """Generator values for `windows` with noise rows `zs`, SYNTH_CHUNK rows
-    a pass, on `workers` threads, the calling thread one of them.
+    a pass, one pass a task on a pool of `workers` threads.
 
-    Threads take chunks in order and write disjoint slices of the output.
-    After a chunk fails no more are started; the error of the earliest
-    failing chunk is raised here. Every chunk before it has been taken, so
-    that is the error a sequential loop would raise. An interrupt of the
-    calling thread stops the others after the chunk each is running.
+    The results come back in chunk order, so the error raised is the
+    earliest failing chunk's, the one a sequential loop would raise. When
+    that error, or an interrupt, reaches the calling thread, the chunks not
+    yet started are cancelled; a chunk already running finishes, and the
+    pool's threads are joined before it propagates.
     """
-    m = windows.shape[0]
-    out = np.empty(m)
-    starts = iter(range(0, m, SYNTH_CHUNK))
-    errors = {}
-    lock = threading.Lock()
+    # imported here: it loads `logging`, which `import tsgan.cli`, and so
+    # every command's start-up, would otherwise pay for
+    from concurrent.futures import ThreadPoolExecutor
 
-    def work():
-        while True:
-            with lock:
-                start = None if errors else next(starts, None)
-            if start is None:
-                return
-            rows = slice(start, start + SYNTH_CHUNK)
-            try:
-                with np.errstate(**_QUIET):  # a thread starts with defaults
-                    out[rows] = _conditioned_chunk(gen, windows[rows],
-                                                   zs[rows])
-            except Exception as exc:  # re-raised on the calling thread
-                with lock:
-                    errors[start] = exc
+    def chunk(start):
+        rows = slice(start, start + SYNTH_CHUNK)
+        with np.errstate(**_QUIET):  # a pool thread starts with defaults
+            return _conditioned_chunk(gen, windows[rows], zs[rows])
 
-    threads = [threading.Thread(target=work) for _ in range(workers - 1)]
-    for thread in threads:
-        thread.start()
-    try:
-        work()
-    except BaseException as exc:  # Ctrl-C: the others start no new chunk
-        with lock:
-            errors.setdefault(m, exc)
-        raise
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[min(errors)]
-    return out
+    with ThreadPoolExecutor(workers) as pool:
+        return np.concatenate(list(pool.map(
+            chunk, range(0, windows.shape[0], SYNTH_CHUNK))))
 
 
 def synthesize_series(gen: Generator, scaler: scaling.ScalerParams,
@@ -510,9 +489,10 @@ def synthesize_series(gen: Generator, scaler: scaling.ScalerParams,
     """Generate one value per real target (indices d..N-1) at price scale.
 
     conditioned: every window is the real history (one-step, teacher-forced).
-    The windows run SYNTH_CHUNK at a time, on as many threads as the BLAS
-    has, with the BLAS on one thread meanwhile; the values are the same
-    bytes as one chunk after another on the calling thread.
+    The windows run SYNTH_CHUNK at a time on a thread pool as large as the
+    BLAS's, with the BLAS on one thread meanwhile: the same bytes, and the
+    same error, as one chunk after another on the calling thread. After
+    an error or an interrupt no chunk starts; those running finish first.
     recursive: after a real warm-up window, windows are previously
     generated values; a stress-test mode.
     """

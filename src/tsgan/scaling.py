@@ -7,10 +7,15 @@ model checkpoint so generated values can be mapped back to price scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
-from .errors import DataError
+from .errors import FINITE, FINITE_POSITIVE, DataError, check_scalar
+
+# the rule `check_scalar` applies to each ScalerParams field
+_FIELD_RULES = {"mean": FINITE, "stddev": FINITE_POSITIVE,
+                "n_fitted": (Integral, lambda v: v >= 2, "an integer >= 2")}
 
 
 @dataclass(frozen=True)
@@ -20,12 +25,8 @@ class ScalerParams:
     n_fitted: int
 
     def __post_init__(self):
-        if self.n_fitted < 2:
-            raise DataError(f"scaler needs at least 2 values, got {self.n_fitted}")
-        if not (np.isfinite(self.mean) and np.isfinite(self.stddev)):
-            raise DataError("scaler parameters must be finite")
-        if self.stddev <= 0:
-            raise DataError("zero variance: cannot standardize a constant series")
+        for name, rule in _FIELD_RULES.items():
+            check_scalar(f"scaler.{name}", getattr(self, name), rule)
 
     def to_dict(self) -> dict:
         """The JSON form that checkpoints and manifests store: mean and
@@ -42,6 +43,8 @@ def fit(values: np.ndarray) -> ScalerParams:
         raise DataError("cannot fit scaler on non-finite values")
     mean = float(values.mean())
     stddev = float(values.std())  # ddof=0, population convention
+    if stddev == 0:
+        raise DataError("zero variance: cannot standardize a constant series")
     return ScalerParams(mean=mean, stddev=stddev, n_fitted=int(values.size))
 
 

@@ -196,6 +196,8 @@ class TestTrain:
         assert "Traceback" not in err
         assert err.startswith("data error:")
         assert "config" in err.lower()
+        if text == '{"disc_layers": 64}':
+            assert "TrainConfig.disc_layers must be " in err
         assert not (tmp_path / "run").exists()
 
     def test_every_scalar_field_has_a_rule(self):
@@ -529,6 +531,27 @@ class TestCheckpointValidation:
         assert rc == 2
         assert capsys.readouterr().err == \
             f"data error: {bad}: {key} must be {words}, not {value!r}\n"
+        assert not (tmp_path / "g.csv").exists()
+
+    @pytest.mark.parametrize("field, value", [
+        ("mean", True), ("mean", 1.5), ("mean", "x"), ("stddev", "nan"),
+        ("stddev", "0.0"), ("stddev", "-2.5"), ("n_fitted", 2.9),
+        ("n_fitted", "3"), ("n_fitted", 1), ("n_fitted", False)])
+    def test_bad_scaler_exit_2(self, price_csv, tmp_path, capsys, checkpoint,
+                               field, value):
+        """The scaler's mean and stddev must be the text `to_dict` writes,
+        and every field must pass ScalerParams's check; the one line of
+        error names the field."""
+        doc = json.loads(checkpoint.read_text())
+        doc["scaler"][field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        rc = main(["generate", "--checkpoint", str(bad), "--input",
+                   str(price_csv), "--out", str(tmp_path / "g.csv")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith(f"data error: {bad}: scaler.{field} must be ")
+        assert err.count("\n") == 1 and err.endswith("\n")
         assert not (tmp_path / "g.csv").exists()
 
     def test_too_large_scalar_exit_2(self, price_csv, tmp_path, capsys,

@@ -3,6 +3,7 @@ import copy
 import dataclasses
 import math
 import pickle
+import signal
 import sys
 import threading
 import time
@@ -749,28 +750,56 @@ class TestThreadedSynthesis:
 
     def test_interrupt_on_the_calling_thread_stops_the_others(self,
                                                                monkeypatch):
-        # Ctrl-C lands in the calling thread's first chunk; the other
-        # thread finishes the chunk it holds and takes no more of the 20
+        # Ctrl-C reaches the calling thread while it waits for the first
+        # of 20 chunks: the two chunks running finish before it propagates,
+        # and no other chunk starts. A real SIGINT wakes the thread from its
+        # wait at once. _thread.interrupt_main only sets a flag, which the
+        # thread reads when it next runs: while the pool starts its first
+        # thread, before any chunk is queued, or when a chunk completes,
+        # after that chunk's thread may have taken the next one.
         self.pin_workers(monkeypatch, 2)
         monkeypatch.setattr(gan, "SYNTH_CHUNK", 4)
         gen = Generator(toy_config(), np.random.default_rng(35))
         chunk = gan._conditioned_chunk
-        taken = []
+        taken, done = [], []
 
         def slow_chunk(gen, windows, zs):
-            if threading.current_thread() is threading.main_thread():
-                time.sleep(0.02)
-                raise KeyboardInterrupt
             taken.append(windows[0, 0])
+            if windows[0, 0] == 0:  # time to queue all 20 and wait
+                time.sleep(0.05)
+                signal.pthread_kill(threading.main_thread().ident,
+                                    signal.SIGINT)
             time.sleep(0.2)
+            done.append(windows[0, 0])
             return chunk(gen, windows, zs)
 
         monkeypatch.setattr(gan, "_conditioned_chunk", slow_chunk)
         closes = np.arange(84, dtype=np.float64)
         scaler = scaling.ScalerParams(mean=0.0, stddev=1.0, n_fitted=2)
-        with pytest.raises(KeyboardInterrupt):
-            synthesize_series(gen, scaler, closes, condition_dim=4)
+        handler = signal.signal(signal.SIGINT, signal.default_int_handler)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                synthesize_series(gen, scaler, closes, condition_dim=4)
+        finally:
+            signal.signal(signal.SIGINT, handler)
         assert 1 <= len(taken) <= 2
+        assert sorted(done) == sorted(taken)
+
+    def test_no_thread_outlives_the_call(self, monkeypatch):
+        # the pool's threads are joined after a success and after the
+        # earliest failing chunk's error alike
+        self.pin_workers(monkeypatch, 2)
+        gen = Generator(toy_config(), np.random.default_rng(38))
+        closes = np.random.default_rng(39).uniform(90, 110,
+                                                   3 * gan.SYNTH_CHUNK)
+        scaler = scaling.fit(closes)
+        before = threading.active_count()
+        synthesize_series(gen, scaler, closes, condition_dim=4)
+        assert threading.active_count() == before
+        gen.lstm.W[0, 0] = np.nan
+        with pytest.raises(NumericError):
+            synthesize_series(gen, scaler, closes, condition_dim=4)
+        assert threading.active_count() == before
 
     def test_blas_pin_restores_the_thread_count(self):
         blas = gan._openblas()

@@ -1,6 +1,10 @@
-"""Every name a `tsgan` module imports is used in that module."""
+"""Every name a `tsgan` module imports is used in that module, and the
+CLI's start-up loads no module it needs only for synthesis."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -37,3 +41,16 @@ def test_no_unused_imports(path):
 def test_an_unused_import_is_found():
     tree = ast.parse("from itertools import chain, compress\nchain()\n")
     assert unused_imports(tree) == ["line 1: compress"]
+
+
+def test_cli_import_loads_no_thread_pool():
+    # gan._conditioned imports its thread pool when it runs: the pool
+    # loads `logging`, which every command's start-up would pay for
+    code = ("import sys, tsgan.cli; print(sorted({'concurrent.futures', "
+            "'logging'} & set(sys.modules)))")
+    src = str(Path(__file__).parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout == "[]\n"
